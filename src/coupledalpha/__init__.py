@@ -3,148 +3,48 @@
 The library builds the complex holding both clouds' alpha complexes at
 once, assigns its min-max filtration values, and computes persistent
 homology over GF(2), with brute-force oracles certifying every fast path.
+
+The top level exports the pipeline of the README and the command line,
+the per-layer entry points the benchmark times, and the errors a caller
+can expect. Everything else is reached through its submodule.
 """
 
-from .complexes import (
-    CoupledComplex,
-    PointCloudPair,
-    Simplex,
-    alpha_infty,
-    coupled_alpha_infty,
-    lift,
-)
-from .delaunay import (
-    AmbiguousTriangulation,
-    Triangulation,
-    delaunay_bruteforce,
-    delaunay_incremental,
-)
-from .filtration import (
-    CIRCUMSPHERE,
-    X_DOMINANT,
-    Y_DOMINANT,
-    DimensionOverflow,
-    FilteredComplex,
-    NotACoface,
-    SphereSolution,
-    alpha_filtration,
-    coupled_filtration,
-    coupled_gabriel,
-    relaxed_value,
-)
+from .complexes import CoupledComplex, PointCloudPair, coupled_alpha_infty
+from .delaunay import AmbiguousTriangulation, delaunay_incremental
+from .filtration import coupled_filtration, relaxed_value
 from .geometry import (
     EPS,
     DegenerateInput,
     GeneralPositionError,
     GeometryError,
-    RankDeficient,
-    Sphere,
-    Violation,
-    affine_rank,
-    as_point_array,
     check_coupled_general_position,
-    diameter,
-    equidistant_center,
     jitter,
     lift_clouds,
-    min_enclosing_ball,
-    null_space_basis,
-    particular_solution,
 )
-from .harness import (
-    THREADS_ENV,
-    ScalingRecord,
-    doubling_ratios,
-    fit_linear,
-    mean_counts,
-    run_trial,
-    sample_poisson,
-    scaling_experiment,
-)
-from .homology import (
-    Interval,
-    NonMonotone,
-    PersistenceDiagram,
-    betti_at,
-    boundary_matrix,
-    diagram_discrepancy,
-    persistence_diagram,
-    reduce_and_pair,
-)
-from .oracle import (
-    IterationLimit,
-    NotInComplex,
-    TooLarge,
-    cech_filtration,
-    diagram_discrepancy_vs_reference,
-    feasibility,
-    feasibility_witness,
-    value_by_bisection,
-)
+from .harness import scaling_experiment
+from .homology import boundary_matrix, persistence_diagram, reduce_and_pair
+from .oracle import diagram_discrepancy_vs_reference
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousTriangulation",
-    "CIRCUMSPHERE",
     "CoupledComplex",
     "DegenerateInput",
-    "DimensionOverflow",
     "EPS",
-    "FilteredComplex",
     "GeneralPositionError",
     "GeometryError",
-    "Interval",
-    "IterationLimit",
-    "NonMonotone",
-    "NotACoface",
-    "NotInComplex",
-    "PersistenceDiagram",
     "PointCloudPair",
-    "RankDeficient",
-    "ScalingRecord",
-    "Simplex",
-    "Sphere",
-    "SphereSolution",
-    "THREADS_ENV",
-    "TooLarge",
-    "Triangulation",
-    "Violation",
-    "X_DOMINANT",
-    "Y_DOMINANT",
-    "affine_rank",
-    "alpha_filtration",
-    "alpha_infty",
-    "as_point_array",
-    "betti_at",
     "boundary_matrix",
-    "cech_filtration",
     "check_coupled_general_position",
     "coupled_alpha_infty",
     "coupled_filtration",
-    "coupled_gabriel",
-    "delaunay_bruteforce",
     "delaunay_incremental",
-    "diagram_discrepancy",
     "diagram_discrepancy_vs_reference",
-    "diameter",
-    "doubling_ratios",
-    "equidistant_center",
-    "feasibility",
-    "feasibility_witness",
-    "fit_linear",
     "jitter",
-    "lift",
     "lift_clouds",
-    "mean_counts",
-    "min_enclosing_ball",
-    "null_space_basis",
-    "particular_solution",
     "persistence_diagram",
     "reduce_and_pair",
     "relaxed_value",
-    "run_trial",
-    "sample_poisson",
     "scaling_experiment",
-    "value_by_bisection",
 ]

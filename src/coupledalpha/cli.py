@@ -69,10 +69,32 @@ def load_simplices(path: str) -> list[tuple[int, ...]]:
             if not text or text.startswith("#"):
                 continue
             parts = [int(tok) for tok in text.split(",")]
-            if len(parts) != parts[0] + 2:
+            if parts[0] < 0 or len(parts) != parts[0] + 2:
                 raise ValueError(f"{path}:{lineno}: dim {parts[0]} with {len(parts) - 1} vertices")
             out.append(tuple(parts[1:]))
     return out
+
+
+def _check_listing(simplices, n_vertices: int, path: str) -> None:
+    """Reject a simplex listing that is not a complex on the n_vertices points.
+
+    Each simplex must be a strictly increasing tuple of point indices, and
+    every facet of a listed simplex must be listed too.
+    """
+    members = set(simplices)
+    for simplex in simplices:
+        if list(simplex) != sorted(set(simplex)):
+            raise ValueError(f"{path}: simplex {simplex} is not strictly increasing")
+        if simplex[0] < 0 or simplex[-1] >= n_vertices:
+            raise ValueError(
+                f"{path}: simplex {simplex} names a vertex outside 0..{n_vertices - 1}"
+            )
+        if len(simplex) == 1:
+            continue
+        for drop in range(len(simplex)):
+            facet = simplex[:drop] + simplex[drop + 1 :]
+            if facet not in members:
+                raise ValueError(f"{path}: simplex {simplex} is listed without its face {facet}")
 
 
 def _emit(args, text: str) -> None:
@@ -97,7 +119,7 @@ def _load_pair(args) -> PointCloudPair:
 
 def cmd_build(args) -> int:
     pair = _load_pair(args)
-    cplx = coupled_alpha_infty(pair, eps=args.epsilon)
+    cplx = coupled_alpha_infty(pair)
     simplices = sorted(cplx, key=lambda s: (len(s), s))
     if args.format == "json":
         payload = {"dim": pair.dim, "simplices": [list(s) for s in simplices]}
@@ -111,10 +133,12 @@ def cmd_build(args) -> int:
 def cmd_filtrate(args) -> int:
     pair = _load_pair(args)
     if args.complex:
-        cplx = CoupledComplex(pair, load_simplices(args.complex))
+        simplices = load_simplices(args.complex)
+        _check_listing(simplices, pair.n_total, args.complex)
+        cplx = CoupledComplex(pair, simplices)
     else:
-        cplx = coupled_alpha_infty(pair, eps=args.epsilon)
-    fc = coupled_filtration(cplx, eps=args.epsilon)
+        cplx = coupled_alpha_infty(pair)
+    fc = coupled_filtration(cplx)
     items = fc.sorted_items()
     if args.max_radius is not None:
         items = [(s, v) for s, v in items if v <= args.max_radius]
@@ -135,7 +159,7 @@ def cmd_filtrate(args) -> int:
 
 def cmd_diagram(args) -> int:
     pair = _load_pair(args)
-    fc = coupled_filtration(coupled_alpha_infty(pair, eps=args.epsilon), eps=args.epsilon)
+    fc = coupled_filtration(coupled_alpha_infty(pair))
     intervals = persistence_diagram(fc).intervals()
     if args.format == "json":
         payload = {
@@ -160,7 +184,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_compare(args) -> int:
     pair = _load_pair(args)
-    verdict, worst = diagram_discrepancy_vs_reference(pair, eps=args.epsilon, tol=args.tolerance)
+    verdict, worst = diagram_discrepancy_vs_reference(pair, tol=args.tolerance)
     if args.format == "json":
         payload = {"pass": verdict, "max_discrepancy": None if math.isinf(worst) else worst}
         _emit(args, json.dumps(payload, sort_keys=True) + "\n")

@@ -20,12 +20,11 @@ import itertools
 
 import numpy as np
 
-from .delaunay import Triangulation, delaunay_bruteforce, delaunay_incremental
+from .delaunay import delaunay_incremental
 from .geometry import (
     EPS,
     DegenerateInput,
     GeneralPositionError,
-    _affine_rank,
     as_point_array,
     check_coupled_general_position,
     lift_clouds,
@@ -94,9 +93,6 @@ class PointCloudPair:
             raise ValueError(f"simplex {simplex} is not sorted")
         return qx, qy
 
-    def coords(self, indices: Simplex) -> np.ndarray:
-        return self._points[list(indices)]
-
     def split_coords(self, simplex: Simplex) -> tuple[np.ndarray, np.ndarray]:
         qx, qy = self.split(simplex)
         return self._points[list(qx)], self._points[list(qy)]
@@ -150,67 +146,38 @@ def _closure(cells, n_vertices: int) -> set[Simplex]:
     return faces
 
 
-def _triangulate(points, method: str, eps: float) -> Triangulation:
-    if method == "incremental":
-        return delaunay_incremental(points, eps)
-    if method == "bruteforce":
-        return delaunay_bruteforce(points, eps)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _guard_rank(points: np.ndarray, full_dim: int, what: str) -> None:
-    """Reject point sets that are affinely dependent beyond their count.
-
-    n points may legitimately span only an (n-1)-flat; spanning less than
-    min(n-1, full_dim) dimensions means a general-position failure such as
-    a collinear triple in the plane.
-    """
-    n = points.shape[0]
-    if n == 0:
-        return
-    rank = _affine_rank(points)
-    if rank < min(n - 1, full_dim):
-        raise DegenerateInput(
-            f"{what}: points span only a {rank}-flat "
-            f"(expected {min(n - 1, full_dim)})"
-        )
-
-
-def lift(pair: PointCloudPair) -> np.ndarray:
-    """Lifted points in R^(d+1): X at height 0, Y at height 1."""
-    return lift_clouds(pair.x, pair.y)
-
-
-def coupled_alpha_infty(
-    pair: PointCloudPair, method: str = "incremental", eps: float | None = None
-) -> CoupledComplex:
+def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
     """The coupled alpha complex of the pair at infinite radius.
 
     Computed as the projection of the Delaunay triangulation of the
     lifted clouds. When one cloud is empty this degrades to the plain
-    alpha complex of the other cloud.
+    alpha complex of the other cloud. Raises DegenerateInput when the
+    points are affinely dependent beyond their count: n points may span
+    only an (n-1)-flat, but spanning fewer dimensions than that or than
+    the space allows is a general-position failure, such as a collinear
+    triple in the plane.
     """
-    eps = pair.eps if eps is None else eps
     if pair.n_total == 0:
         return CoupledComplex(pair, ())
-    if pair.n_x == 0 or pair.n_y == 0:
-        cloud = pair.points
-        _guard_rank(cloud, pair.dim, "cloud")
-        tri = _triangulate(cloud, method, eps)
-        return CoupledComplex(pair, _closure(tri.cells, pair.n_total))
-    lifted = lift(pair)
-    _guard_rank(lifted, pair.dim + 1, "lifted pair")
-    tri = _triangulate(lifted, method, eps)
+    if pair.n_x and pair.n_y:
+        points, what = lift_clouds(pair.x, pair.y), "lifted pair"
+    else:
+        points, what = pair.points, "cloud"
+    cells = delaunay_incremental(points, pair.eps).cells
+    # The triangulation works inside the affine hull: its cells have rank + 1 vertices.
+    rank = len(cells[0]) - 1 if cells else 0
+    expected = min(pair.n_total - 1, points.shape[1])
+    if rank < expected:
+        raise DegenerateInput(f"{what}: points span only a {rank}-flat (expected {expected})")
     # Forgetting the height coordinate keeps vertex indices; faces of the
     # lifted cells are exactly the coupled simplices.
-    return CoupledComplex(pair, _closure(tri.cells, pair.n_total))
+    return CoupledComplex(pair, _closure(cells, pair.n_total))
 
 
-def alpha_infty(points, method: str = "incremental", eps: float = EPS) -> CoupledComplex:
+def alpha_infty(points) -> CoupledComplex:
     """The alpha complex of a single cloud at infinite radius.
 
     Returned over a pair with an empty second cloud, so the same
     filtration and homology machinery applies unchanged.
     """
-    pair = PointCloudPair(points, None, check=False, eps=eps)
-    return coupled_alpha_infty(pair, method=method, eps=eps)
+    return coupled_alpha_infty(PointCloudPair(points, None, check=False))

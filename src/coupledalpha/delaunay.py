@@ -24,16 +24,16 @@ cosphericality (a non-vertex on a candidate cell's circumsphere) raise
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     EPS,
-    RANK_RCOND,
     DegenerateInput,
     GeometryError,
     _circumsphere,
+    _hull_coordinates,
     as_point_array,
 )
 
@@ -53,27 +53,6 @@ class Triangulation:
 
     points: np.ndarray
     cells: tuple[tuple[int, ...], ...]
-
-    def face_set(self) -> set[tuple[int, ...]]:
-        """All faces of all cells, plus every vertex as a singleton."""
-        faces: set[tuple[int, ...]] = {(i,) for i in range(self.points.shape[0])}
-        for cell in self.cells:
-            for size in range(1, len(cell) + 1):
-                faces.update(itertools.combinations(cell, size))
-        return faces
-
-
-def _hull_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Isometric coordinates of the points inside their affine hull."""
-    if pts.shape[0] == 0:
-        return pts.copy(), 0
-    center = pts.mean(axis=0)
-    centered = pts - center
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((pts.shape[0], 0)), 0
-    rank = int((s > RANK_RCOND * max(pts.shape) * s[0]).sum())
-    return centered @ vt[:rank].T, rank
 
 
 def _prepare(points, eps: float) -> tuple[np.ndarray, np.ndarray, int]:

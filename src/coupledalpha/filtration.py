@@ -11,18 +11,19 @@ a common point. Values are computed top-down:
   if its X radius dominates there, else the Y-side projection if its Y
   radius dominates there, else the center of the smallest sphere through
   all of Q.
-* ``coupled_gabriel`` decides whether that relaxed solution is feasible
-  for the original problem relative to one coface: the open X ball around
-  the relaxed center must avoid the coface's X vertices and the open Y
-  ball its Y vertices. For a pure simplex this degenerates to the
-  classical one-ball Gabriel test against its own cloud.
-* ``coupled_filtration`` walks the complex from the top dimension down:
-  a simplex that passes the Gabriel test against every coface keeps its
-  relaxed value, anything else inherits the minimum over its cofaces.
+* ``coupled_filtration`` walks the complex from the top dimension down.
+  The coupled Gabriel test decides whether a simplex's relaxed solution
+  is feasible for the original problem relative to one coface: the open
+  X ball around the relaxed center must avoid the coface's X vertices
+  and the open Y ball its Y vertices. For a pure simplex this
+  degenerates to the classical one-ball Gabriel test against its own
+  cloud. A simplex that passes against every coface keeps its relaxed
+  value, anything else inherits the minimum over its cofaces.
 
 Vertices get value 0 and values are monotone along face inclusions by
-construction. The unset state during the walk is explicit, never a float
-sentinel.
+construction. During the walk a simplex that no coface has reached yet
+starts from ``math.inf``, the neutral element of the minimum, with no
+coface vertices to test; a top simplex therefore keeps its relaxed value.
 """
 
 from __future__ import annotations
@@ -32,16 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CoupledComplex, PointCloudPair, Simplex, alpha_infty
-from .geometry import (
-    EPS,
-    RANK_RCOND,
-    GeometryError,
-    RankDeficient,
-    _circumsphere,
-    as_point_array,
-    null_space_basis,
-)
+from .complexes import CoupledComplex, Simplex, alpha_infty
+from .geometry import EPS, GeometryError, _bisector_point, as_point_array
 
 X_DOMINANT = "X_DOMINANT"
 Y_DOMINANT = "Y_DOMINANT"
@@ -53,10 +46,6 @@ _TIE_EPS = 1e-12
 
 class DimensionOverflow(GeometryError):
     """A simplex has more vertices than the ambient dimension allows."""
-
-
-class NotACoface(ValueError):
-    """The pair of simplices is not a codimension-1 face/coface pair."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +72,6 @@ class FilteredComplex:
     """Simplices with filtration values, sorted by (value, dim, lex)."""
 
     values: dict[Simplex, float]
-    source: CoupledComplex | None = None
 
     def sorted_items(self) -> list[tuple[Simplex, float]]:
         return sorted(self.values.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
@@ -110,22 +98,6 @@ class FilteredComplex:
         return True
 
 
-def _projection_on_solutions(
-    basis: np.ndarray, anchor: np.ndarray, point: np.ndarray
-) -> np.ndarray:
-    """Project ``point`` onto the affine set {anchor + basis @ s}."""
-    return anchor + basis @ (basis.T @ (point - anchor))
-
-
-def _min_norm_consistent(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """Minimum-norm solution of a consistent system; rejects inconsistency."""
-    sol, _, _, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
-    scale = 1.0 + float(np.abs(b).max(initial=0.0))
-    if float(np.abs(a @ sol - b).max(initial=0.0)) > eps * scale:
-        raise RankDeficient("bisector system has no common solution")
-    return sol
-
-
 def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
     """Solve the relaxed smallest-radius problem for a labeled simplex.
 
@@ -147,38 +119,30 @@ def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
             f"{n_x + n_y} vertices exceed the maximum simplex size {dim + 2} in R^{dim}"
         )
 
-    if n_y == 0 or n_x == 0:
-        pts = q_x if n_y == 0 else q_y
-        sphere = _circumsphere(pts, eps)
-        if sphere is None:
-            raise RankDeficient("pure simplex vertices are affinely dependent")
-        if n_y == 0:
-            return SphereSolution(sphere.center, sphere.radius, 0.0, X_DOMINANT)
-        return SphereSolution(sphere.center, 0.0, sphere.radius, Y_DOMINANT)
+    if n_x == 0 or n_y == 0:
+        pts = q_x if n_x else q_y
+        center = _bisector_point(pts[0], pts[1:], pts[0], eps)
+        radius = float(np.linalg.norm(center - pts[0]))
+        if n_x:
+            return SphereSolution(center, radius, 0.0, X_DOMINANT)
+        return SphereSolution(center, 0.0, radius, Y_DOMINANT)
 
     # Work in coordinates shifted to the simplex centroid for conditioning.
     shift = np.vstack([q_x, q_y]).mean(axis=0)
     px = q_x - shift
     py = q_y - shift
     x1, y1 = px[0], py[0]
-    rows = [px[1:] - x1, py[1:] - y1]
-    a = np.vstack([r for r in rows if r.size]) if n_x + n_y > 2 else np.zeros((0, dim))
-    rhs = np.concatenate(
-        [
-            0.5 * (np.einsum("ij,ij->i", px[1:], px[1:]) - x1 @ x1),
-            0.5 * (np.einsum("ij,ij->i", py[1:], py[1:]) - y1 @ y1),
-        ]
-    )
-    basis = null_space_basis(a, dim)  # raises RankDeficient on dependent rows
-    anchor = _min_norm_consistent(a, rhs, eps) if a.shape[0] else np.zeros(dim)
+    # Bisector pairs: every other X vertex with x1, every other Y vertex with y1.
+    u = np.repeat([x1, y1], [n_x - 1, n_y - 1], axis=0)
+    v = np.vstack([px[1:], py[1:]])
 
-    c_x = _projection_on_solutions(basis, anchor, x1)
+    c_x = _bisector_point(u, v, x1, eps)  # raises RankDeficient on dependent rows
     r_xx = float(np.linalg.norm(c_x - x1))
     r_xy = float(np.linalg.norm(c_x - y1))
     if r_xx >= r_xy - _TIE_EPS:
         return SphereSolution(c_x + shift, r_xx, r_xy, X_DOMINANT)
 
-    c_y = _projection_on_solutions(basis, anchor, y1)
+    c_y = _bisector_point(u, v, y1, eps)
     r_yx = float(np.linalg.norm(c_y - x1))
     r_yy = float(np.linalg.norm(c_y - y1))
     if r_yx <= r_yy + _TIE_EPS:
@@ -186,83 +150,25 @@ def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
 
     # Both radii active: the minimizer is equidistant from every vertex of
     # the simplex, i.e. the center of the smallest sphere through all of it.
-    a_full = np.vstack([a, (y1 - x1)[None, :]])
-    rhs_full = np.concatenate([rhs, [0.5 * (y1 @ y1 - x1 @ x1)]])
-    offset = _min_norm_consistent(a_full, rhs_full - a_full @ x1, eps)
-    center = x1 + offset
+    center = _bisector_point(np.vstack([u, x1]), np.vstack([v, y1]), x1, eps)
     r_x = float(np.linalg.norm(center - x1))
     r_y = float(np.linalg.norm(center - y1))
     return SphereSolution(center + shift, r_x, r_y, CIRCUMSPHERE)
 
 
-def _vertex_outside(
-    solution: SphereSolution,
-    pure_x: bool,
-    pure_y: bool,
-    vertex_side: str,
-    vertex: np.ndarray,
-    eps: float,
-) -> bool:
-    """Is the coface vertex excluded from the relevant open ball?
-
-    For a pure simplex the ball of the absent cloud is empty, so vertices
-    from the other cloud never obstruct; this reduces to the classical
-    Gabriel test within the simplex's own cloud.
-    """
-    if vertex_side == "x":
-        if pure_y:
-            return True
-        radius = solution.radius_x
-    else:
-        if pure_x:
-            return True
-        radius = solution.radius_y
-    dist = float(np.linalg.norm(vertex - solution.center))
-    return dist >= radius - eps * (1.0 + radius)
-
-
-def coupled_gabriel(
-    p: Simplex,
-    q: Simplex,
-    pair: PointCloudPair,
-    solution: SphereSolution | None = None,
-    eps: float | None = None,
-) -> bool:
-    """Coupled Gabriel test for a codimension-1 coface pair (p over q).
-
-    True iff the relaxed solution of q keeps the extra vertex of p outside
-    the open ball of its own cloud. When q passes this for every coface,
-    its filtration value equals its relaxed value.
-    """
-    eps = pair.eps if eps is None else eps
-    p = tuple(p)
-    q = tuple(q)
-    extra = set(p) - set(q)
-    if len(p) != len(q) + 1 or len(extra) != 1 or not set(q) <= set(p):
-        raise NotACoface(f"{q} is not a codimension-1 face of {p}")
-    if solution is None:
-        q_x, q_y = pair.split_coords(q)
-        solution = relaxed_value(q_x, q_y, eps)
-    v = extra.pop()
-    qx, qy = pair.split(q)
-    return _vertex_outside(
-        solution, not qy, not qx, pair.side(v), pair.points[v], eps
-    )
-
-
-def coupled_filtration(cplx: CoupledComplex, eps: float | None = None) -> FilteredComplex:
+def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
     """Assign filtration values to every simplex of a coupled complex.
 
-    Processes dimensions from the top down. Each simplex starts unset;
-    once its cofaces are valued, it either keeps its own relaxed value
-    (coupled Gabriel against all cofaces) or inherits the smallest coface
-    value. The minimum with the coface values is always taken, which makes
-    the result monotone under float arithmetic too.
+    Processes dimensions from the top down. Each simplex either keeps its
+    own relaxed value (coupled Gabriel against all cofaces) or inherits
+    the smallest coface value. The minimum with the coface values is
+    always taken, which makes the result monotone under float arithmetic
+    too. The tolerance is the pair's ``eps``.
     """
     pair = cplx.pair
-    eps = pair.eps if eps is None else eps
+    eps = pair.eps
     values: dict[Simplex, float] = {}
-    # For each not-yet-valued simplex: [min coface value, extra vertices of cofaces]
+    # For each simplex some coface has reached: [min coface value, extra vertices of cofaces]
     pending: dict[Simplex, list] = {}
 
     for k in range(cplx.dimension, -1, -1):
@@ -273,13 +179,16 @@ def coupled_filtration(cplx: CoupledComplex, eps: float | None = None) -> Filter
             q_x, q_y = pair.split_coords(simplex)
             solution = relaxed_value(q_x, q_y, eps)
             min_coface, extras = pending.pop(simplex, [math.inf, []])
-            qx, qy = pair.split(simplex)
-            gabriel = all(
-                _vertex_outside(
-                    solution, not qy, not qx, pair.side(v), pair.points[v], eps
-                )
-                for v in extras
-            )
+            # Coupled Gabriel test: every coface vertex stays outside the open
+            # ball of its own cloud. A cloud the simplex lacks has radius 0, so
+            # a pure simplex gets the classical Gabriel test.
+            gabriel = True
+            for v in extras:
+                radius = solution.radius_x if v < pair.n_x else solution.radius_y
+                dist = float(np.linalg.norm(pair.points[v] - solution.center))
+                if dist < radius - eps * (1.0 + radius):
+                    gabriel = False
+                    break
             if gabriel:
                 value = min(solution.relaxed_radius, min_coface)
             else:
@@ -292,14 +201,14 @@ def coupled_filtration(cplx: CoupledComplex, eps: float | None = None) -> Filter
                 entry[1].append(simplex[drop])
     # Vertex entries remain in pending (their value is fixed at 0); top
     # simplices never appear in pending at all.
-    return FilteredComplex(values, source=cplx)
+    return FilteredComplex(values)
 
 
-def alpha_filtration(points, method: str = "incremental", eps: float = EPS) -> FilteredComplex:
+def alpha_filtration(points) -> FilteredComplex:
     """Alpha filtration of a single cloud.
 
     The one-cloud specialization of the coupled machinery: the complex is
     the Delaunay closure and every simplex is pure, so the relaxed value
     is the circumsphere radius and the Gabriel test is the classical one.
     """
-    return coupled_filtration(alpha_infty(points, method=method, eps=eps), eps=eps)
+    return coupled_filtration(alpha_infty(points))

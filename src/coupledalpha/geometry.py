@@ -80,52 +80,48 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
     return pts
 
 
+def _bisector_point(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """Closest point to ``p`` equidistant from ``u[i]`` and ``v[i]`` for every row i.
+
+    This is the one bisector-flat solve of the package: circumcenters and
+    the candidate centers of relaxed values all come from it. The flat is
+    {c : (v - u) @ (c - p) = r} with r the residual at ``p``, taken from
+    differences to ``p`` so that nothing cancels when the points are far
+    from the origin; the closest point is ``p`` plus the minimum-norm
+    solution. ``u`` may be a single row shared by all.
+
+    Raises RankDeficient when the rows of ``v - u`` are dependent, except
+    for an overdetermined system (more rows than columns) that is
+    consistent within ``eps``, as for cospherical points.
+    """
+    a = v - u
+    if a.shape[0] == 0:
+        return p.copy()
+    # |v - p|^2 - |u - p|^2 factored, which is exact for u = p.
+    r = 0.5 * np.einsum("ij,ij->i", a, (v - p) + (u - p))
+    sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
+    if rank < min(a.shape):
+        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {min(a.shape)})")
+    if rank < a.shape[0]:
+        scale = 1.0 + float(np.abs(r).max())
+        if float(np.abs(a @ sol - r).max()) > eps * scale:
+            raise RankDeficient("bisector system has no common solution")
+    return p + sol
+
+
 def _circumsphere(points: np.ndarray, eps: float = EPS) -> Sphere | None:
     """Smallest sphere through all of ``points``, or None if no such sphere.
 
-    The center is the projection of the first point onto the affine set of
-    points equidistant from all inputs; this is the circumcenter inside the
-    affine hull. Returns None when the points are affinely dependent (or,
-    for more than d+1 points, not cospherical).
+    The center is the circumcenter inside the affine hull of the points.
+    Returns None when the points are affinely dependent (or, for more than
+    d+1 points, not cospherical).
     """
     pts = np.asarray(points, dtype=float)
-    base = pts[0]
-    rel = pts[1:] - base
-    if rel.shape[0] == 0:
-        return Sphere(base.copy(), 0.0)
-    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    sol, _, rank, _ = np.linalg.lstsq(rel, rhs, rcond=RANK_RCOND)
-    if rank < min(rel.shape):
+    try:
+        center = _bisector_point(pts[0], pts[1:], pts[0], eps)
+    except RankDeficient:
         return None
-    scale = 1.0 + float(np.abs(rhs).max())
-    if rank < rel.shape[0]:
-        # Overdetermined system: valid only if the points are cospherical.
-        if float(np.abs(rel @ sol - rhs).max()) > eps * scale:
-            return None
-    radius = float(np.linalg.norm(sol))
-    return Sphere(base + sol, radius)
-
-
-def equidistant_center(points, eps: float = EPS) -> Sphere:
-    """Center and radius of the unique sphere through k <= d+1 points.
-
-    The center is the point of the bisector solution set closest to the
-    inputs, i.e. the circumcenter within the affine hull of the points.
-
-    Raises DegenerateInput if the points are affinely dependent beyond
-    tolerance (this includes any input with more than d+1 points, which is
-    always affinely dependent).
-    """
-    pts = as_point_array(points)
-    if pts.shape[0] == 0:
-        raise ValueError("need at least one point")
-    sphere = _circumsphere(pts, eps)
-    if sphere is None:
-        raise DegenerateInput(
-            f"no circumsphere: {pts.shape[0]} points in R^{pts.shape[1]} "
-            "are affinely dependent beyond tolerance"
-        )
-    return sphere
+    return Sphere(center, float(np.linalg.norm(center - pts[0])))
 
 
 def min_enclosing_ball(points, eps: float = EPS) -> Sphere:
@@ -179,52 +175,6 @@ def min_enclosing_ball(points, eps: float = EPS) -> Sphere:
     if ball is None:  # pragma: no cover - n >= 1 always yields a ball
         raise DegenerateInput("failed to compute enclosing ball")
     return ball
-
-
-def null_space_basis(a: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Orthonormal basis of the kernel of ``a`` as columns of a (d, k) array.
-
-    An empty constraint matrix (zero rows) has the identity as its basis.
-    Raises RankDeficient if the rows of ``a`` are linearly dependent.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = a.shape
-    if dim is not None and cols != dim:
-        raise ValueError(f"expected {dim} columns, got {cols}")
-    if rows == 0:
-        return np.eye(cols)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    cutoff = max(a.shape) * RANK_RCOND * (s[0] if s.size else 0.0)
-    rank = int((s > cutoff).sum())
-    if rank < rows:
-        raise RankDeficient(f"matrix rows are dependent (rank {rank} < {rows})")
-    return vt[rank:].T.copy()
-
-
-def particular_solution(a: np.ndarray, b: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Minimum-norm solution of ``a @ c = b``.
-
-    Canonicalized to the minimum-norm solution so results are reproducible.
-    An empty system returns the origin. Raises RankDeficient when the rows
-    of ``a`` are dependent.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = a.shape
-    if dim is not None and cols != dim:
-        raise ValueError(f"expected {dim} columns, got {cols}")
-    if rows != b.shape[0]:
-        raise ValueError("matrix and rhs row counts differ")
-    if rows == 0:
-        return np.zeros(cols)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=RANK_RCOND)
-    if rank < rows:
-        raise RankDeficient(f"matrix rows are dependent (rank {rank} < {rows})")
-    return sol
 
 
 def lift_clouds(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -321,20 +271,21 @@ def check_coupled_general_position(x, y, eps: float = EPS) -> tuple[bool, list[V
     return (not violations, violations)
 
 
-def _affine_rank(points: np.ndarray, rcond: float = RANK_RCOND) -> int:
-    """Dimension of the affine hull of the points."""
-    if points.shape[0] <= 1:
-        return 0
-    centered = points - points.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
+def _hull_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Isometric coordinates of the points inside their affine hull, and its dimension."""
+    if pts.shape[0] == 0:
+        return pts.copy(), 0
+    centered = pts - pts.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > rcond * max(points.shape) * s[0]).sum())
+        return np.zeros((pts.shape[0], 0)), 0
+    rank = int((s > RANK_RCOND * max(pts.shape) * s[0]).sum())
+    return centered @ vt[:rank].T, rank
 
 
-def affine_rank(points) -> int:
-    """Public wrapper: dimension of the affine hull of a point set."""
-    return _affine_rank(as_point_array(points))
+def _affine_rank(points: np.ndarray) -> int:
+    """Dimension of the affine hull of the points."""
+    return _hull_coordinates(points)[1]
 
 
 def diameter(points) -> float:

@@ -110,9 +110,6 @@ class PersistenceDiagram:
             if iv.dim == dim and iv.birth <= radius < iv.death
         )
 
-    def max_dim(self) -> int:
-        return max((iv.dim for iv in self.all_intervals), default=-1)
-
 
 def persistence_diagram(fc: FilteredComplex) -> PersistenceDiagram:
     """Persistence diagram of a monotone filtration."""
@@ -133,10 +130,6 @@ def persistence_diagram(fc: FilteredComplex) -> PersistenceDiagram:
         if not col and j not in paired:
             intervals.append(Interval(len(simplices[j]) - 1, values[j], math.inf))
     return PersistenceDiagram(intervals)
-
-
-def betti_at(fc: FilteredComplex, radius: float, dim: int) -> int:
-    return persistence_diagram(fc).betti_at(radius, dim)
 
 
 def diagram_discrepancy(

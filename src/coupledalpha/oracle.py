@@ -305,7 +305,6 @@ def cech_filtration(
 
 def diagram_discrepancy_vs_reference(
     pair: PointCloudPair,
-    eps: float = EPS,
     tol: float = diagram_tolerance_default,
     dims: list[int] | None = None,
 ) -> tuple[bool, float]:
@@ -318,7 +317,7 @@ def diagram_discrepancy_vs_reference(
     """
     if dims is None:
         dims = list(range(pair.dim))
-    fast = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair, eps=eps), eps=eps))
-    reference = persistence_diagram(cech_filtration(pair.points, eps=eps))
+    fast = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
+    reference = persistence_diagram(cech_filtration(pair.points, eps=pair.eps))
     worst = diagram_discrepancy(fast, reference, dims, min_length=tol)
     return worst <= tol, worst

@@ -9,7 +9,8 @@ import itertools
 import numpy as np
 import pytest
 
-from coupledalpha import PointCloudPair, feasibility
+from coupledalpha import PointCloudPair
+from coupledalpha.oracle import feasibility
 
 
 def random_pair(rng, dim=2, max_x=6, max_y=6, check=False):

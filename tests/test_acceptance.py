@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from coupledalpha import (
-    alpha_filtration,
     coupled_alpha_infty,
     coupled_filtration,
-    doubling_ratios,
-    feasibility,
+    diagram_discrepancy_vs_reference,
     jitter,
     persistence_diagram,
     relaxed_value,
     scaling_experiment,
-    value_by_bisection,
 )
 from coupledalpha.cli import main as cli_main
-from coupledalpha.oracle import diagram_discrepancy_vs_reference
+from coupledalpha.filtration import alpha_filtration
+from coupledalpha.harness import doubling_ratios
+from coupledalpha.oracle import feasibility, value_by_bisection
 from conftest import minimize_relaxed, nerve_from_feasibility, random_pair
 
 

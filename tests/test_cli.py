@@ -91,6 +91,24 @@ def test_filtrate_reuses_built_complex(capsys, tmp_path, clouds):
     assert reused == direct
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "0,0\n0,1\n0,2\n1,-1,0\n",  # negative index
+        "0,0\n0,1\n0,2\n1,0,9\n",  # index beyond the 3 points
+        "0,0\n0,1\n0,2\n2,0,1,2\n",  # triangle listed without its edges
+    ],
+)
+def test_filtrate_rejects_bad_listing(capsys, tmp_path, clouds, rows):
+    x, y = clouds
+    listing = tmp_path / "bad.csv"
+    listing.write_text(rows)
+    code, out, err = run(capsys, ["filtrate", x, y, "--complex", str(listing)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_diagram_csv_and_json_inf_handling(capsys, tmp_path):
     x = tmp_path / "solo.csv"
     x.write_text("0.0,0.0\n3.0,0.0\n")

@@ -5,13 +5,13 @@ import pytest
 
 from coupledalpha import (
     CoupledComplex,
+    DegenerateInput,
     PointCloudPair,
-    alpha_infty,
     coupled_alpha_infty,
-    feasibility,
-    feasibility_witness,
-    lift,
+    lift_clouds,
 )
+from coupledalpha.complexes import alpha_infty
+from coupledalpha.oracle import feasibility, feasibility_witness
 from conftest import nerve_from_feasibility, random_pair
 
 
@@ -63,7 +63,7 @@ def test_mixed_edges_carry_lifted_witness(rng):
     # a point equidistant from the two lifted endpoints and at least as
     # close to them as to every other lifted point.
     pair = random_pair(rng, max_x=5, max_y=5)
-    lifted = lift(pair)
+    lifted = lift_clouds(pair.x, pair.y)
     cplx = coupled_alpha_infty(pair)
     mixed_edges = [
         s for s in cplx.by_dim(1) if s[0] < pair.n_x <= s[1]
@@ -100,6 +100,17 @@ def test_empty_y_degrades_to_alpha():
     pair = PointCloudPair(x, None, check=False)
     assert set(coupled_alpha_infty(pair)) == set(alpha_infty(x))
     assert pair.n_y == 0
+
+
+def test_rank_guard_refuses_flat_inputs():
+    # A collinear cloud in the plane spans a 1-flat where it needs a
+    # 2-flat; X and Y on one line lift to a 2-flat of R^3.
+    line = [[0.0, 0.0], [1.0, 1.0], [2.5, 2.5], [4.0, 4.0]]
+    with pytest.raises(DegenerateInput, match="1-flat"):
+        coupled_alpha_infty(PointCloudPair(line, None, check=False))
+    pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [3.5, 0.0]], check=False)
+    with pytest.raises(DegenerateInput, match="2-flat"):
+        coupled_alpha_infty(pair)
 
 
 def test_round_trip_through_explicit_simplices(rng):

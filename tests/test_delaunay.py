@@ -6,16 +6,17 @@ import pytest
 from coupledalpha import (
     AmbiguousTriangulation,
     DegenerateInput,
-    delaunay_bruteforce,
     delaunay_incremental,
     lift_clouds,
 )
+from coupledalpha.complexes import _closure
+from coupledalpha.delaunay import delaunay_bruteforce
 
 
 def test_single_triangle():
     tri = delaunay_incremental([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert tri.cells == ((0, 1, 2),)
-    assert tri.face_set() == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
+    assert _closure(tri.cells, 3) == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
 
 
 def test_two_routes_agree_random(rng):

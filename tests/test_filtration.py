@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from coupledalpha import (
+    PointCloudPair,
+    coupled_alpha_infty,
+    coupled_filtration,
+    relaxed_value,
+)
+from coupledalpha.filtration import (
     CIRCUMSPHERE,
     X_DOMINANT,
     Y_DOMINANT,
     DimensionOverflow,
-    NotACoface,
-    PointCloudPair,
-    RankDeficient,
     alpha_filtration,
-    coupled_alpha_infty,
-    coupled_filtration,
-    coupled_gabriel,
-    relaxed_value,
 )
+from coupledalpha.geometry import RankDeficient
 from conftest import minimize_relaxed, random_pair
 
 # Worked fixtures: (X vertices, Y vertices, case, radius, center).
@@ -93,15 +93,18 @@ def test_relaxed_value_validation():
 
 
 def test_coupled_gabriel_flags_enclosed_vertex():
-    # Mixed edge (x0, y0); the relaxed ball around their midpoint sphere
-    # swallows x1 placed at the center, so the Gabriel test must fail for
-    # the coface (x0, x1, y0), and pass once x1 moves far away.
+    # Mixed edge (x0, y0) with relaxed value 1.5 around the midpoint; the
+    # relaxed X ball swallows x1 placed at that center, so the Gabriel test
+    # fails against the coface (x0, x1, y0) and the edge inherits the
+    # triangle's value. Once x1 moves far away the edge keeps its own.
     near = PointCloudPair([[0.0, 0.0], [1.5, 0.0]], [[3.0, 0.0]], check=False)
-    assert not coupled_gabriel((0, 1, 2), (0, 2), near)
+    values = coupled_filtration(coupled_alpha_infty(near)).values
+    assert values[(0, 2)] == pytest.approx(2.25, abs=1e-12)
+    assert values[(0, 2)] == values[(0, 1, 2)]
     far = PointCloudPair([[0.0, 0.0], [1.5, 4.0]], [[3.0, 0.0]], check=False)
-    assert coupled_gabriel((0, 1, 2), (0, 2), far)
-    with pytest.raises(NotACoface):
-        coupled_gabriel((0, 1, 2), (0,), near)  # codimension 2
+    values = coupled_filtration(coupled_alpha_infty(far)).values
+    assert values[(0, 2)] == pytest.approx(1.5, abs=1e-12)
+    assert values[(0, 2)] < values[(0, 1, 2)]
 
 
 def test_vertices_are_zero_and_values_monotone(rng):

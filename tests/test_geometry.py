@@ -1,22 +1,19 @@
-"""Geometric primitives: spheres, null spaces, lifting, position checks."""
+"""Geometric primitives: spheres, bisector flats, lifting, position checks."""
 
 import numpy as np
 import pytest
 
-from coupledalpha import (
-    DegenerateInput,
-    GeometryError,
+from coupledalpha.geometry import (
     RankDeficient,
-    affine_rank,
+    _affine_rank,
+    _bisector_point,
+    _circumsphere,
     as_point_array,
     check_coupled_general_position,
     diameter,
-    equidistant_center,
     jitter,
     lift_clouds,
     min_enclosing_ball,
-    null_space_basis,
-    particular_solution,
 )
 
 
@@ -33,7 +30,7 @@ def test_as_point_array_shapes_and_errors():
 
 def test_equidistant_center_right_triangle():
     # Circumcenter of a right triangle is the hypotenuse midpoint.
-    sphere = equidistant_center([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    sphere = _circumsphere(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]))
     assert np.allclose(sphere.center, [2.0, 1.5], atol=1e-12)
     assert sphere.radius == pytest.approx(2.5, abs=1e-12)
 
@@ -42,17 +39,19 @@ def test_equidistant_center_subsets_live_in_affine_hull():
     rng = np.random.default_rng(4)
     for _ in range(20):
         pts = rng.normal(size=(3, 3))  # triangle in 3-space
-        sphere = equidistant_center(pts)
+        sphere = _circumsphere(pts)
         dists = np.linalg.norm(pts - sphere.center, axis=1)
         assert np.allclose(dists, sphere.radius, atol=1e-9)
         # center inside the affine hull: adding its hull coordinates back
-        rank_with = affine_rank(np.vstack([pts, sphere.center]))
-        assert rank_with == affine_rank(pts)
+        rank_with = _affine_rank(np.vstack([pts, sphere.center]))
+        assert rank_with == _affine_rank(pts)
 
 
 def test_equidistant_center_rejects_collinear():
-    with pytest.raises(DegenerateInput):
-        equidistant_center([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    assert _circumsphere(pts) is None
+    with pytest.raises(RankDeficient):
+        _bisector_point(pts[0], pts[1:], pts[0])
 
 
 def test_min_enclosing_ball_known_configurations():
@@ -77,9 +76,8 @@ def test_min_enclosing_ball_vs_subset_enumeration(rng):
 
         for size in range(2, d + 2):
             for combo in itertools.combinations(range(len(pts)), size):
-                try:
-                    cand = equidistant_center(pts[list(combo)])
-                except GeometryError:
+                cand = _circumsphere(pts[list(combo)])
+                if cand is None:
                     continue
                 if np.linalg.norm(pts - cand.center, axis=1).max() <= cand.radius + 1e-9:
                     best = min(best, cand.radius)
@@ -97,25 +95,33 @@ def test_min_enclosing_ball_deterministic():
 
 
 def test_null_space_and_particular_solution(rng):
+    # The bisector point equals the projection of p onto the flat built
+    # the long way: a particular solution plus an orthonormal null-space
+    # basis of the bisector rows.
     for _ in range(20):
         d = int(rng.integers(2, 5))
         rows = int(rng.integers(0, d))
-        a = rng.normal(size=(rows, d))
-        basis = null_space_basis(a, d)
+        u = rng.normal(size=(rows, d))
+        v = rng.normal(size=(rows, d))
+        p = rng.normal(size=d)
+        c = _bisector_point(u, v, p)
+        assert np.allclose(
+            np.linalg.norm(c - u, axis=1), np.linalg.norm(c - v, axis=1), atol=1e-9
+        )
+        a = v - u
+        b = 0.5 * (np.einsum("ij,ij->i", v, v) - np.einsum("ij,ij->i", u, u))
+        anchor = np.linalg.lstsq(a, b, rcond=None)[0] if rows else np.zeros(d)
+        basis = np.linalg.svd(a, full_matrices=True)[2][rows:].T if rows else np.eye(d)
         assert basis.shape == (d, d - rows)
-        if rows:
-            assert np.allclose(a @ basis, 0.0, atol=1e-10)
-        assert np.allclose(basis.T @ basis, np.eye(d - rows), atol=1e-10)
-        b = a @ rng.normal(size=d) if rows else np.zeros(0)
-        sol = particular_solution(a, b, d)
-        if rows:
-            assert np.allclose(a @ sol, b, atol=1e-9)
+        expected = anchor + basis @ (basis.T @ (p - anchor))
+        assert np.allclose(c, expected, atol=1e-9)
 
 
-def test_null_space_basis_rejects_dependent_rows():
-    a = np.array([[1.0, 0.0], [2.0, 0.0]])
+def test_bisector_point_rejects_dependent_rows():
+    u = np.zeros((2, 2))
+    v = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(RankDeficient):
-        null_space_basis(a, 2)
+        _bisector_point(u, v, np.ones(2))
 
 
 def test_lift_clouds_heights_exact():
@@ -165,7 +171,7 @@ def test_general_position_flags_lifted_cosphericality():
 def test_diameter_and_rank():
     assert diameter([[0.0, 0.0]]) == 0.0
     assert diameter([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
-    assert affine_rank([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]) == 1
+    assert _affine_rank(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])) == 1
 
 
 def test_jitter_reproducible_and_bounded():

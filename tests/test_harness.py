@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from coupledalpha import (
+from coupledalpha import check_coupled_general_position, scaling_experiment
+from coupledalpha.harness import (
     ScalingRecord,
-    check_coupled_general_position,
     doubling_ratios,
     fit_linear,
     mean_counts,
     run_trial,
     sample_poisson,
-    scaling_experiment,
 )
 
 

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from coupledalpha import (
-    FilteredComplex,
-    NonMonotone,
-    alpha_filtration,
-    betti_at,
     boundary_matrix,
     coupled_alpha_infty,
     coupled_filtration,
-    diagram_discrepancy,
     jitter,
     persistence_diagram,
     reduce_and_pair,
 )
+from coupledalpha.filtration import FilteredComplex, alpha_filtration
+from coupledalpha.homology import NonMonotone, diagram_discrepancy
 from conftest import random_pair
 
 TRIANGLE = FilteredComplex(
@@ -97,7 +94,7 @@ def test_betti_conventions_half_open():
     assert dgm.betti_at(1.0, 0) == 2  # half-open: dead at its death value
     assert dgm.betti_at(3.0, 1) == 1
     assert dgm.betti_at(4.0, 1) == 0
-    assert betti_at(TRIANGLE, 10.0, 0) == 1
+    assert dgm.betti_at(10.0, 0) == 1
 
 
 def test_euler_characteristic_identity(rng):

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from coupledalpha import (
-    NotInComplex,
     PointCloudPair,
-    TooLarge,
-    cech_filtration,
     coupled_alpha_infty,
     coupled_filtration,
     diagram_discrepancy_vs_reference,
+)
+from coupledalpha.geometry import min_enclosing_ball
+from coupledalpha.oracle import (
+    NotInComplex,
+    TooLarge,
+    cech_filtration,
     feasibility,
     feasibility_witness,
-    min_enclosing_ball,
     value_by_bisection,
 )
 from conftest import random_pair
