@@ -29,7 +29,7 @@ import numpy as np
 from .complexes import CoupledComplex, PointCloudPair, coupled_alpha_infty
 from .filtration import coupled_filtration
 from .geometry import EPS, GeometryError, check_coupled_general_position
-from .harness import THREADS_ENV, doubling_ratios, fit_linear, scaling_experiment
+from .harness import doubling_ratios, fit_linear, scaling_experiment
 from .homology import persistence_diagram
 from .oracle import (
     IterationLimit,
@@ -68,7 +68,10 @@ def load_simplices(path: str) -> list[tuple[int, ...]]:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            parts = [int(tok) for tok in text.split(",")]
+            try:
+                parts = [int(tok) for tok in text.split(",")]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not an integer row: {text!r}") from None
             if parts[0] < 0 or len(parts) != parts[0] + 2:
                 raise ValueError(f"{path}:{lineno}: dim {parts[0]} with {len(parts) - 1} vertices")
             out.append(tuple(parts[1:]))
@@ -304,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None, help=f"default ${THREADS_ENV} or 1")
+    p.add_argument("--workers", type=int, default=1, help="worker processes for the trials")
     p.add_argument(
         "--with-timing", action="store_true",
         help="include wall times (breaks byte-identical reruns)",

@@ -110,13 +110,9 @@ class CoupledComplex:
         self.simplices: tuple[Simplex, ...] = tuple(
             sorted(set(simplices), key=lambda s: (len(s), s))
         )
-        self._members = frozenset(self.simplices)
         self._by_dim: dict[int, list[Simplex]] = {}
         for s in self.simplices:
             self._by_dim.setdefault(len(s) - 1, []).append(s)
-
-    def __contains__(self, simplex) -> bool:
-        return tuple(simplex) in self._members
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -3,12 +3,15 @@
 ``delaunay_bruteforce`` is the correctness reference: it tests the empty
 circumsphere property for every candidate cell directly from the
 definition. ``delaunay_incremental`` is the fast path: Bowyer-Watson
-insertion with the convex-hull boundary handled symbolically. Hull facets
-act as cells at infinity whose conflict region is the open outer
-half-space, plus coplanar points strictly inside the facet's own
-circumsphere, so no artificial far-away vertices ever enter a circumsphere
-computation. The result is verified post hoc against the empty-sphere
-property.
+insertion over one store of cells, in which each convex-hull facet f is
+the cell (-1,) + f through a vertex at infinity (as in CGAL's
+triangulations). A cell at infinity conflicts with the open outer
+half-space of its facet, plus coplanar points strictly inside the facet's
+own circumsphere, so no artificial far-away vertices ever enter a
+circumsphere computation. The result is verified post hoc from the
+spheres and planes the insertion stored: every facet is shared by exactly
+two cells, every point lies inside every hull plane, and every finite
+cell's circumsphere is empty.
 
 Point sets whose affine hull is a proper flat of R^m (fewer than m+1
 points, or clouds lying in a common hyperplane, as lifted inputs do when
@@ -24,6 +27,7 @@ cosphericality (a non-vertex on a candidate cell's circumsphere) raise
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,86 +106,93 @@ def delaunay_bruteforce(points, eps: float = EPS) -> Triangulation:
 
 
 class _CellStore:
-    """Growable arrays of cells with their circumcenters and squared radii."""
+    """Growable arrays of cells, hull facets included as cells at infinity.
 
-    def __init__(self, m: int, capacity: int):
-        self.m = m
-        self.verts = np.full((capacity, m + 1), -1, dtype=np.int64)
-        self.centers = np.zeros((capacity, m))
-        self.radii2 = np.full(capacity, -np.inf)  # dead rows never conflict
-        self.count = 0
+    A row holds m+1 sorted vertex indices; -1 is the vertex at infinity,
+    so a hull facet f is the row (-1,) + f. Every row carries the
+    circumsphere of its finite vertices (center, squared radius) and a
+    unit outward normal with offset. Finite cells get normal 0 and offset
+    0, so their side is always 0; dead rows get squared radius -inf, so
+    they never conflict.
 
-    def add(self, cell: tuple[int, ...], center: np.ndarray, radius2: float) -> None:
-        if self.count == self.verts.shape[0]:
-            grow = self.verts.shape[0]
-            self.verts = np.vstack([self.verts, np.full((grow, self.m + 1), -1, np.int64)])
-            self.centers = np.vstack([self.centers, np.zeros((grow, self.m))])
-            self.radii2 = np.concatenate([self.radii2, np.full(grow, -np.inf)])
-        self.verts[self.count] = cell
-        self.centers[self.count] = center
-        self.radii2[self.count] = radius2
-        self.count += 1
-
-    def kill(self, rows) -> None:
-        self.radii2[rows] = -np.inf
-
-    def conflicts(self, p: np.ndarray) -> np.ndarray:
-        diff = self.centers[: self.count] - p
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        return np.nonzero(d2 < self.radii2[: self.count])[0]
-
-    def alive(self) -> np.ndarray:
-        return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
-
-
-class _HullStore:
-    """Growable arrays of hull facets acting as cells at infinity.
-
-    A facet conflicts with a point strictly outside its hyperplane, and
-    with a coplanar point strictly inside the facet's own circumsphere.
-    The latter agrees exactly with the in-sphere test of the finite cell
-    behind the facet, since a cell's circumsphere meets the facet's
-    hyperplane in the facet's circumsphere.
+    A point p conflicts with a row when ``side > tol``, or when
+    ``|side| <= tol`` and p lies strictly inside the sphere. For a finite
+    cell that is the in-sphere test. For a hull cell it is the open outer
+    half-space plus coplanar points inside the facet's circumsphere, which
+    agrees with the finite cell behind the facet, since that cell's
+    circumsphere meets the facet's hyperplane in the facet's circumsphere.
     """
 
-    def __init__(self, m: int, capacity: int):
-        self.m = m
-        self.verts = np.full((capacity, m), -1, dtype=np.int64)
-        self.normals = np.zeros((capacity, m))  # unit, outward
-        self.offsets = np.zeros(capacity)
+    def __init__(self, coords: np.ndarray, interior: np.ndarray, eps: float):
+        n, m = coords.shape
+        self.coords = coords
+        self.interior = interior
+        self.eps = eps
+        self.side_tol = eps * (1.0 + float(np.abs(coords).max()))
+        capacity = 8 * n + 64
+        self.verts = np.full((capacity, m + 1), -1, dtype=np.int64)
         self.centers = np.zeros((capacity, m))
-        self.radii2 = np.full(capacity, -np.inf)  # dead rows never conflict
+        self.radii2 = np.full(capacity, -np.inf)
+        self.normals = np.zeros((capacity, m))
+        self.offsets = np.zeros(capacity)
         self.count = 0
 
-    def add(self, facet, normal, offset, center, radius2) -> None:
+    def add(self, cell: tuple[int, ...]) -> None:
+        hull = cell[0] == -1
+        pts = self.coords[list(cell[1:] if hull else cell)]
+        sphere = _circumsphere(pts, self.eps)
+        if sphere is None:
+            raise AmbiguousTriangulation(f"cell {cell} is affinely degenerate within tolerance")
+        normal, offset = np.zeros(pts.shape[1]), 0.0
+        if hull:
+            if pts.shape[1] == 1:
+                normal = np.ones(1)
+            else:
+                normal = np.linalg.svd(pts[1:] - pts[0], full_matrices=True)[2][-1]
+            ref = float(normal @ (self.interior - pts[0]))
+            if abs(ref) <= self.side_tol:
+                raise AmbiguousTriangulation(
+                    f"cannot orient hull cell {cell}; input degenerate within tolerance"
+                )
+            if ref > 0.0:
+                normal = -normal
+            offset = float(normal @ pts[0])
         if self.count == self.verts.shape[0]:
-            grow = self.verts.shape[0]
-            self.verts = np.vstack([self.verts, np.full((grow, self.m), -1, np.int64)])
-            self.normals = np.vstack([self.normals, np.zeros((grow, self.m))])
-            self.offsets = np.concatenate([self.offsets, np.zeros(grow)])
-            self.centers = np.vstack([self.centers, np.zeros((grow, self.m))])
-            self.radii2 = np.concatenate([self.radii2, np.full(grow, -np.inf)])
-        self.verts[self.count] = facet
-        self.normals[self.count] = normal
-        self.offsets[self.count] = offset
-        self.centers[self.count] = center
-        self.radii2[self.count] = radius2
+            for name in ("verts", "centers", "radii2", "normals", "offsets"):
+                arr = getattr(self, name)
+                setattr(self, name, np.concatenate([arr, np.zeros_like(arr)]))
+            self.radii2[self.count :] = -np.inf
+        row = self.count
+        self.verts[row] = cell
+        self.centers[row] = sphere.center
+        self.radii2[row] = sphere.radius**2
+        self.normals[row] = normal
+        self.offsets[row] = offset
         self.count += 1
 
     def kill(self, rows) -> None:
         self.radii2[rows] = -np.inf
+        self.normals[rows] = 0.0
+        self.offsets[rows] = 0.0
 
-    def conflicts(self, p: np.ndarray, tol: float) -> np.ndarray:
+    def conflicts(self, p: np.ndarray) -> np.ndarray:
         k = self.count
-        live = self.radii2[:k] > -np.inf
         side = self.normals[:k] @ p - self.offsets[:k]
-        hit = live & (side > tol)
-        coplanar = np.nonzero(live & (np.abs(side) <= tol))[0]
-        if coplanar.size:
-            diff = self.centers[coplanar] - p
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            hit[coplanar[d2 < self.radii2[coplanar]]] = True
-        return np.nonzero(hit)[0]
+        diff = self.centers[:k] - p
+        inside = np.einsum("ij,ij->i", diff, diff) < self.radii2[:k]
+        tol = self.side_tol
+        return np.nonzero((side > tol) | ((np.abs(side) <= tol) & inside))[0]
+
+    def live(self) -> np.ndarray:
+        return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
+
+    def cells(self, rows) -> list[tuple[int, ...]]:
+        return [tuple(cell) for cell in self.verts[rows].tolist()]
+
+
+def _facet_counts(cells) -> Counter:
+    """How many of the given cells share each facet."""
+    return Counter(cell[:drop] + cell[drop + 1 :] for cell in cells for drop in range(len(cell)))
 
 
 def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
@@ -205,158 +216,89 @@ def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[
     return chosen
 
 
-def _bowyer_watson(coords: np.ndarray, eps: float) -> tuple[tuple[int, ...], ...]:
-    n, m = coords.shape
-    side_tol = eps * (1.0 + float(np.abs(coords).max()))
+def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
     order = np.lexsort(coords.T[::-1])  # deterministic insertion order
     init = _initial_simplex(coords, order, eps)
-    interior = coords[init].mean(axis=0)
-
-    finite = _CellStore(m, capacity=4 * n + 64)
-    hull = _HullStore(m, capacity=4 * n + 64)
-
-    def add_finite(cell: tuple[int, ...]) -> None:
-        sphere = _circumsphere(coords[list(cell)], eps)
-        if sphere is None:
-            raise AmbiguousTriangulation(
-                f"cell {cell} is affinely degenerate within tolerance"
-            )
-        finite.add(cell, sphere.center, sphere.radius**2)
-
-    def add_hull_facet(facet: tuple[int, ...]) -> None:
-        pts_f = coords[list(facet)]
-        sphere = _circumsphere(pts_f, eps)
-        if sphere is None:
-            raise AmbiguousTriangulation(
-                f"hull facet {facet} is affinely degenerate within tolerance"
-            )
-        if m == 1:
-            normal = np.ones(1)
-        else:
-            _, _, vt = np.linalg.svd(pts_f[1:] - pts_f[0], full_matrices=True)
-            normal = vt[-1]
-        ref = float(normal @ (interior - pts_f[0]))
-        if abs(ref) <= side_tol:
-            raise AmbiguousTriangulation(
-                f"cannot orient hull facet {facet}; input degenerate within tolerance"
-            )
-        if ref > 0.0:
-            normal = -normal
-        hull.add(facet, normal, float(normal @ pts_f[0]), sphere.center, sphere.radius**2)
-
+    store = _CellStore(coords, coords[init].mean(axis=0), eps)
     start = tuple(sorted(init))
-    add_finite(start)
-    for drop in range(m + 1):
-        add_hull_facet(start[:drop] + start[drop + 1 :])
+    store.add(start)
+    for drop in range(len(start)):
+        store.add((-1,) + start[:drop] + start[drop + 1 :])
 
     seeded = set(init)
-    for p_idx in order:
-        if int(p_idx) in seeded:
+    for p_idx in order.tolist():
+        if p_idx in seeded:
             continue
-        p = coords[p_idx]
-        bad_fin = finite.conflicts(p)
-        bad_hull = hull.conflicts(p, side_tol)
-        if bad_fin.size == 0 and bad_hull.size == 0:
+        bad = store.conflicts(coords[p_idx])
+        if bad.size == 0:
             raise AmbiguousTriangulation(
-                f"point {int(p_idx)} conflicts with no cell; "
-                "input degenerate within tolerance"
+                f"point {p_idx} conflicts with no cell; input degenerate within tolerance"
             )
-        # -1 stands for the vertex at infinity; sorted tuples keep it first.
-        cavity = [tuple(int(v) for v in finite.verts[row]) for row in bad_fin]
-        cavity += [(-1,) + tuple(int(v) for v in hull.verts[row]) for row in bad_hull]
-        facet_count: dict[tuple[int, ...], int] = {}
-        for cell in cavity:
-            for drop in range(m + 1):
-                facet = cell[:drop] + cell[drop + 1 :]
-                facet_count[facet] = facet_count.get(facet, 0) + 1
+        facet_count = _facet_counts(store.cells(bad))
         if any(v > 2 for v in facet_count.values()):
             raise AmbiguousTriangulation(
-                f"insertion cavity of point {int(p_idx)} is inconsistent; "
+                f"insertion cavity of point {p_idx} is inconsistent; "
                 "input degenerate within tolerance"
             )
-        finite.kill(bad_fin)
-        hull.kill(bad_hull)
+        store.kill(bad)
         for facet, count in facet_count.items():
-            if count != 1:
-                continue
-            if facet[0] == -1:
-                add_hull_facet(tuple(sorted(facet[1:] + (int(p_idx),))))
-            else:
-                add_finite(tuple(sorted(facet + (int(p_idx),))))
-
-    cells = sorted(tuple(int(v) for v in finite.verts[row]) for row in finite.alive())
-    _verify_delaunay(coords, cells, eps)
-    return tuple(cells)
+            if count == 1:
+                store.add(tuple(sorted(facet + (p_idx,))))
+    return store
 
 
-def _verify_delaunay(coords: np.ndarray, cells: list[tuple[int, ...]], eps: float) -> None:
-    """Check the empty-circumsphere property of the final cell set.
+def _verify_delaunay(coords: np.ndarray, store: _CellStore, eps: float) -> list[tuple[int, ...]]:
+    """Check the final cells against the spheres and planes stored for them.
 
-    Requires every input point to be used, each facet to be shared by at
-    most two cells, each unshared facet to be a convex-hull facet, and
-    every cell's circumsphere to be empty. A non-member on a circumsphere
-    within tolerance is a genuine ambiguity of the input.
+    Requires every input point to be used, every facet to be shared by
+    exactly two cells (cells at infinity included, so the finite cells
+    tile the convex hull), every point to lie on the inner side of each
+    hull cell's plane, and every finite cell's circumsphere to be empty.
+    A non-member on a circumsphere within tolerance is a genuine ambiguity
+    of the input. Returns the finite cells, sorted.
     """
-    n = coords.shape[0]
-    if not cells:
+    rows = store.live()
+    cells = store.cells(rows)
+    finite = sorted(cell for cell in cells if cell[0] != -1)
+    if not finite:
         raise AmbiguousTriangulation("triangulation came out empty")
-    used: set[int] = set()
-    facet_count: dict[tuple[int, ...], int] = {}
-    for cell in cells:
-        used.update(cell)
-        for drop in range(len(cell)):
-            facet = cell[:drop] + cell[drop + 1 :]
-            facet_count[facet] = facet_count.get(facet, 0) + 1
-    if used != set(range(n)):
+    if {v for cell in finite for v in cell} != set(range(coords.shape[0])):
         raise AmbiguousTriangulation("triangulation does not use every point")
-    if any(v > 2 for v in facet_count.values()):
-        raise AmbiguousTriangulation("a facet is shared by more than two cells")
-    # Completeness: a facet of exactly one cell must be a convex-hull facet.
-    side_tol = eps * (1.0 + float(np.abs(coords).max()))
-    for facet, count in facet_count.items():
-        if count != 1:
+    if any(v != 2 for v in _facet_counts(cells).values()):
+        raise AmbiguousTriangulation("a facet is not shared by exactly two cells")
+    for row, cell in zip(rows.tolist(), cells):
+        if cell[0] == -1:
+            side = coords @ store.normals[row] - store.offsets[row]
+            if bool((side > store.side_tol).any()):
+                raise AmbiguousTriangulation(f"a point lies outside hull cell {cell}")
             continue
-        anchor = coords[facet[0]]
-        if len(facet) == 1:  # 1-d triangulation: boundary facets are extremes
-            normal = np.ones(1)
-        else:
-            rel = coords[list(facet[1:])] - anchor
-            _, _, vt = np.linalg.svd(rel, full_matrices=True)
-            normal = vt[-1]
-        side = (coords - anchor) @ normal
-        if not (bool((side <= side_tol).all()) or bool((side >= -side_tol).all())):
-            raise AmbiguousTriangulation(
-                f"boundary facet {facet} is not a convex-hull facet"
-            )
-    for cell in cells:
-        sphere = _circumsphere(coords[list(cell)], eps)
-        if sphere is None:
-            raise AmbiguousTriangulation(
-                f"cell {cell} is affinely degenerate within tolerance"
-            )
-        dist = np.linalg.norm(coords - sphere.center, axis=1)
+        radius = float(np.sqrt(store.radii2[row]))
+        dist = np.linalg.norm(coords - store.centers[row], axis=1)
         dist[list(cell)] = np.inf
-        tol = eps * (1.0 + sphere.radius)
-        if bool((dist < sphere.radius - tol).any()):
+        tol = eps * (1.0 + radius)
+        if bool((dist < radius - tol).any()):
             raise AmbiguousTriangulation(
                 f"a point lies strictly inside the circumsphere of cell {cell}"
             )
-        on = np.nonzero(np.abs(dist - sphere.radius) <= tol)[0]
+        on = np.nonzero(np.abs(dist - radius) <= tol)[0]
         if on.size:
             raise AmbiguousTriangulation(
                 f"point {int(on[0])} lies on the circumsphere of cell {cell}"
             )
+    return finite
 
 
 def delaunay_incremental(points, eps: float = EPS) -> Triangulation:
     """Bowyer-Watson Delaunay triangulation with post-hoc verification.
 
     Matches ``delaunay_bruteforce`` on inputs in general position. The
-    convex-hull boundary is handled symbolically, so coordinates of very
-    different magnitudes never mix inside a circumsphere computation; the
-    empty-sphere property of the result is verified before returning.
+    convex-hull boundary is handled symbolically through a vertex at
+    infinity, so coordinates of very different magnitudes never mix inside
+    a circumsphere computation; the result is verified from the stored
+    spheres and planes before returning.
     """
     pts, coords, rank = _prepare(points, eps)
     if rank == 0:
         return Triangulation(pts, ())
-    return Triangulation(pts, _bowyer_watson(coords, eps))
+    store = _bowyer_watson(coords, eps)
+    return Triangulation(pts, tuple(_verify_delaunay(coords, store, eps)))

@@ -8,7 +8,6 @@ constants, so the harness fits slopes and doubling ratios instead.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import PointCloudPair, coupled_alpha_infty
-
-THREADS_ENV = "COUPLEDALPHA_THREADS"
 
 
 def sample_poisson(n: float, dim: int, seed) -> np.ndarray:
@@ -70,22 +67,22 @@ def scaling_experiment(
     trials: int = 10,
     dim: int = 2,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[ScalingRecord]:
     """Scaling records for every (n, trial), ordered by (n, trial).
 
-    ``workers`` > 1 runs trials in separate processes; the default comes
-    from the COUPLEDALPHA_THREADS environment variable, falling back to
-    serial. Results are identical either way.
+    ``workers`` > 1 runs trials in up to that many separate processes.
+    Results are identical either way.
     """
     n_list = [int(n) for n in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("intensities must be ascending")
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV, "1"))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(n, trial, dim, seed) for n in n_list for trial in range(trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = min(workers, len(jobs))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             records = list(pool.map(run_trial, *zip(*jobs)))
     else:
         records = [run_trial(*job) for job in jobs]

@@ -109,6 +109,17 @@ def test_filtrate_rejects_bad_listing(capsys, tmp_path, clouds, rows):
     assert err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("row", ["1,x,2", ","])
+def test_filtrate_reports_non_integer_listing_row(capsys, tmp_path, clouds, row):
+    x, y = clouds
+    listing = tmp_path / "bad.csv"
+    listing.write_text(f"0,0\n0,1\n0,2\n{row}\n")
+    code, out, err = run(capsys, ["filtrate", x, y, "--complex", str(listing)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {listing}:4: not an integer row: {row!r}\n"
+
 def test_diagram_csv_and_json_inf_handling(capsys, tmp_path):
     x = tmp_path / "solo.csv"
     x.write_text("0.0,0.0\n3.0,0.0\n")
@@ -211,6 +222,14 @@ def test_scaling_rerun_byte_identical(capsys):
     assert "wall_time" not in payload["records"][0]
     assert payload["ratios"]["0"][0]["n"] == 8
 
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scaling_rejects_workers_below_one(capsys, workers):
+    code, out, err = run(capsys, ["scaling", "--n-list", "8", "--trials", "1", "--workers", workers])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: workers must be at least 1, got {workers}\n"
 
 def test_output_file_matches_stdout(capsys, tmp_path, clouds):
     x, y = clouds

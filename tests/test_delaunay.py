@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from coupledalpha import (
     AmbiguousTriangulation,
@@ -10,7 +11,8 @@ from coupledalpha import (
     lift_clouds,
 )
 from coupledalpha.complexes import _closure
-from coupledalpha.delaunay import delaunay_bruteforce
+from coupledalpha.delaunay import _bowyer_watson, _verify_delaunay, delaunay_bruteforce
+from coupledalpha.geometry import EPS
 
 
 def test_single_triangle():
@@ -91,3 +93,54 @@ def test_lower_dimensional_input_uses_hull_coordinates():
 def test_single_point_and_empty():
     assert delaunay_incremental([[0.5, 0.5]]).cells == ()
     assert delaunay_incremental(np.zeros((0, 2))).cells == ()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 300), (3, 100)])
+def test_lifted_pairs_match_qhull(dim, n):
+    # The brute-force oracle cannot reach this scale; Qhull can. Centering
+    # spares Qhull the offset, and Delaunay cells are translation invariant.
+    rng = np.random.default_rng(1000 + dim)
+    lifted = lift_clouds(rng.random((n, dim)), rng.random((n, dim)))
+    qhull = Delaunay(lifted - lifted.mean(axis=0))
+    expected = tuple(sorted(tuple(sorted(int(v) for v in s)) for s in qhull.simplices))
+    assert delaunay_incremental(lifted).cells == expected
+
+
+def _triangulated_store():
+    # A convex pentagon around an interior point: finite and hull cells,
+    # with every hull plane having points strictly on its inner side.
+    coords = np.array([[0.0, 0.0], [4.0, 0.3], [5.1, 3.7], [1.9, 5.2], [-1.2, 2.9], [1.7, 2.1]])
+    store = _bowyer_watson(coords, EPS)
+    assert len(_verify_delaunay(coords, store, EPS)) == 5
+    return coords, store
+
+
+def _first_live(store, hull):
+    return next(row for row in store.live() if (store.verts[row, 0] == -1) == hull)
+
+
+def test_verifier_refuses_a_facet_shared_once():
+    coords, store = _triangulated_store()
+    store.kill([_first_live(store, hull=False)])
+    with pytest.raises(AmbiguousTriangulation, match="exactly two"):
+        _verify_delaunay(coords, store, EPS)
+
+
+def test_verifier_refuses_a_flipped_hull_plane():
+    coords, store = _triangulated_store()
+    row = _first_live(store, hull=True)
+    store.normals[row] *= -1.0
+    store.offsets[row] *= -1.0
+    with pytest.raises(AmbiguousTriangulation, match="outside hull cell"):
+        _verify_delaunay(coords, store, EPS)
+
+
+def test_verifier_refuses_a_point_inside_a_stored_sphere():
+    coords, store = _triangulated_store()
+    row = _first_live(store, hull=False)
+    cell = store.verts[row]
+    outsider = next(v for v in range(len(coords)) if v not in cell)
+    # The centroid of a cell lies inside the hull and inside its circumsphere.
+    coords[outsider] = coords[cell].mean(axis=0)
+    with pytest.raises(AmbiguousTriangulation, match="strictly inside"):
+        _verify_delaunay(coords, store, EPS)
