@@ -38,6 +38,7 @@ from .geometry import (
     GeometryError,
     _circumsphere,
     _hull_coordinates,
+    _sq_distance_blocks,
     as_point_array,
 )
 
@@ -63,11 +64,15 @@ def _prepare(points, eps: float) -> tuple[np.ndarray, np.ndarray, int]:
     pts = as_point_array(points)
     n = pts.shape[0]
     if n >= 2:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(dist2, np.inf)
-        if float(dist2.min()) <= eps * eps:
-            i, j = np.unravel_index(int(dist2.argmin()), dist2.shape)
+        # The closest pair, first in row-major order, scanned in row blocks.
+        best, i, j = np.inf, 0, 0
+        for start, dist2 in _sq_distance_blocks(pts):
+            rows = np.arange(dist2.shape[0])
+            dist2[rows, start + rows] = np.inf
+            at = int(dist2.argmin())
+            if dist2.flat[at] < best:
+                best, i, j = dist2.flat[at], start + at // n, at % n
+        if float(best) <= eps * eps:
             raise DegenerateInput(f"points {i} and {j} coincide within tolerance")
     coords, rank = _hull_coordinates(pts)
     return pts, coords, rank

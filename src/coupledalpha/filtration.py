@@ -11,19 +11,26 @@ a common point. Values are computed top-down:
   if its X radius dominates there, else the Y-side projection if its Y
   radius dominates there, else the center of the smallest sphere through
   all of Q.
-* ``coupled_filtration`` walks the complex from the top dimension down.
+* ``coupled_filtration`` walks the complex from the top dimension down,
+  one batched pass per dimension. The relaxed values of a dimension are
+  solved per (|Q_X|, |Q_Y|) type: rows with the same X count are gathered
+  into one (g, k+1, d) array and solved by stacked bisector solves with
+  the arithmetic of ``relaxed_value`` (which stays the scalar reference).
   The coupled Gabriel test decides whether a simplex's relaxed solution
   is feasible for the original problem relative to one coface: the open
   X ball around the relaxed center must avoid the coface's X vertices
   and the open Y ball its Y vertices. For a pure simplex this
   degenerates to the classical one-ball Gabriel test against its own
-  cloud. A simplex that passes against every coface keeps its relaxed
-  value, anything else inherits the minimum over its cofaces.
+  cloud. It runs as array comparisons over (facet, coface) rows, one per
+  dropped vertex of each coface, with facets found by a lexicographic
+  row sort. A simplex that passes against every coface keeps its relaxed
+  value, anything else inherits the minimum over its cofaces, scattered
+  with ``np.minimum.at``.
 
 Vertices get value 0 and values are monotone along face inclusions by
-construction. During the walk a simplex that no coface has reached yet
-starts from ``math.inf``, the neutral element of the minimum, with no
-coface vertices to test; a top simplex therefore keeps its relaxed value.
+construction. A simplex without cofaces starts from ``math.inf``, the
+neutral element of the minimum, and passes the Gabriel test vacuously;
+a top simplex therefore keeps its relaxed value.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import CoupledComplex, Simplex, alpha_infty
-from .geometry import EPS, GeometryError, _bisector_point, as_point_array
+from .geometry import EPS, GeometryError, _bisector_point, _bisector_points, as_point_array
 
 X_DOMINANT = "X_DOMINANT"
 Y_DOMINANT = "Y_DOMINANT"
@@ -165,43 +172,126 @@ def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
     always taken, which makes the result monotone under float arithmetic
     too. The tolerance is the pair's ``eps``.
     """
-    pair = cplx.pair
-    eps = pair.eps
     values: dict[Simplex, float] = {}
-    # For each simplex some coface has reached: [min coface value, extra vertices of cofaces]
-    pending: dict[Simplex, list] = {}
-
-    for k in range(cplx.dimension, -1, -1):
-        for simplex in cplx.by_dim(k):
-            if k == 0:
-                values[simplex] = 0.0
-                continue
-            q_x, q_y = pair.split_coords(simplex)
-            solution = relaxed_value(q_x, q_y, eps)
-            min_coface, extras = pending.pop(simplex, [math.inf, []])
-            # Coupled Gabriel test: every coface vertex stays outside the open
-            # ball of its own cloud. A cloud the simplex lacks has radius 0, so
-            # a pure simplex gets the classical Gabriel test.
-            gabriel = True
-            for v in extras:
-                radius = solution.radius_x if v < pair.n_x else solution.radius_y
-                dist = float(np.linalg.norm(pair.points[v] - solution.center))
-                if dist < radius - eps * (1.0 + radius):
-                    gabriel = False
-                    break
-            if gabriel:
-                value = min(solution.relaxed_radius, min_coface)
-            else:
-                value = min_coface
-            values[simplex] = value
-            for drop in range(k + 1):
-                facet = simplex[:drop] + simplex[drop + 1 :]
-                entry = pending.setdefault(facet, [math.inf, []])
-                entry[0] = min(entry[0], value)
-                entry[1].append(simplex[drop])
-    # Vertex entries remain in pending (their value is fixed at 0); top
-    # simplices never appear in pending at all.
+    for simplices, value, _ in _gabriel_walk(cplx):
+        values.update(zip(simplices, value.tolist()))
     return FilteredComplex(values)
+
+
+def _gabriel_walk(cplx: CoupledComplex):
+    """Yield ``(simplices, values, gabriel)`` per dimension, top down.
+
+    ``gabriel[i]`` tells whether simplex i passed the coupled Gabriel test
+    against every coface (vertices pass by definition, with value 0).
+    """
+    pair = cplx.pair
+    points, n_x, eps = pair.points, pair.n_x, pair.eps
+    above = None  # rows and values of the dimension above
+    for k in range(cplx.dimension, -1, -1):
+        simplices = cplx.by_dim(k)
+        rows = np.array(simplices, dtype=np.intp).reshape(len(simplices), k + 1)
+        gabriel = np.ones(len(rows), dtype=bool)
+        if k == 0:
+            yield simplices, np.zeros(len(rows)), gabriel
+            return
+        center, radius_x, radius_y = _relaxed_batch(points, n_x, rows, eps)
+        min_coface = np.full(len(rows), math.inf)
+        if above is not None:
+            facet, extra, coface_value = _facets(rows, *above)
+            np.minimum.at(min_coface, facet, coface_value)
+            # Coupled Gabriel test: every coface vertex stays outside the open
+            # ball of its own cloud. A cloud the simplex lacks has radius 0,
+            # so a pure simplex gets the classical Gabriel test.
+            radius = np.where(extra < n_x, radius_x[facet], radius_y[facet])
+            dist = np.linalg.norm(points[extra] - center[facet], axis=1)
+            gabriel[facet[dist < radius - eps * (1.0 + radius)]] = False
+        relaxed = np.maximum(radius_x, radius_y)
+        value = np.where(gabriel, np.minimum(relaxed, min_coface), min_coface)
+        yield simplices, value, gabriel
+        above = rows, value
+
+
+def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
+    """Relaxed centers and radii of the simplices ``rows``, batched per type.
+
+    ``rows`` is an (m, k+1) array of sorted global vertex indices, X ones
+    first. Rows are grouped by their X count and each group is solved in
+    stacked bisector solves with the arithmetic of ``relaxed_value``:
+    pure rows from their first vertex, mixed rows shifted to their
+    centroid, with the X and Y candidates sharing one factorization and
+    the circumsphere solved only where neither radius dominates. Returns
+    ``(center, radius_x, radius_y)`` of shapes (m, d), (m,), (m,).
+    """
+    m, size = rows.shape
+    dim = points.shape[1]
+    if size > dim + 2:
+        raise DimensionOverflow(
+            f"{size} vertices exceed the maximum simplex size {dim + 2} in R^{dim}"
+        )
+    in_x = rows < n_x
+    if (in_x[:, 1:] > in_x[:, :-1]).any():
+        raise ValueError("simplex rows must list X vertices before Y vertices")
+    center = np.empty((m, dim))
+    radius_x = np.zeros(m)
+    radius_y = np.zeros(m)
+    counts = in_x.sum(axis=1)
+    for n_qx in np.unique(counts).tolist():
+        sel = np.flatnonzero(counts == n_qx)
+        pts = points[rows[sel]]  # (g, size, dim)
+        if n_qx in (0, size):
+            c = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0], eps)
+            center[sel] = c
+            (radius_x if n_qx else radius_y)[sel] = np.linalg.norm(c - pts[:, 0], axis=1)
+            continue
+        # Work in coordinates shifted to each simplex's centroid for conditioning.
+        shift = pts.mean(axis=1)
+        pts = pts - shift[:, None]
+        x1, y1 = pts[:, 0], pts[:, n_qx]
+        # Bisector pairs: every other X vertex with x1, every other Y vertex with y1.
+        first = [0] * (n_qx - 1) + [n_qx] * (size - n_qx - 1)
+        other = list(range(1, n_qx)) + list(range(n_qx + 1, size))
+        # The X and Y candidates share the bisector rows: (2, g, dim).
+        c = _bisector_points(pts[:, first], pts[:, other], np.stack([x1, y1]), eps)
+        r_x = np.linalg.norm(c - x1, axis=-1)
+        r_y = np.linalg.norm(c - y1, axis=-1)
+        pick = np.where(r_x[0] >= r_y[0] - _TIE_EPS, 0, 1)
+        both = np.flatnonzero((pick == 1) & (r_x[1] > r_y[1] + _TIE_EPS))
+        g = np.arange(len(sel))
+        c, r_x, r_y = c[pick, g], r_x[pick, g], r_y[pick, g]
+        if both.size:
+            # Both radii active: the minimizer is the center of the smallest
+            # sphere through all of the simplex.
+            on = pts[both]
+            c[both] = _bisector_points(on[:, first + [0]], on[:, other + [n_qx]], x1[both], eps)
+            r_x[both] = np.linalg.norm(c[both] - x1[both], axis=1)
+            r_y[both] = np.linalg.norm(c[both] - y1[both], axis=1)
+        center[sel] = c + shift
+        radius_x[sel] = r_x
+        radius_y[sel] = r_y
+    return center, radius_x, radius_y
+
+
+def _facets(rows: np.ndarray, cofaces: np.ndarray, coface_values: np.ndarray):
+    """Every (facet row, extra vertex, coface value) of the cofaces found in ``rows``.
+
+    Dropping column j of each coface gives a facet; the facet's position
+    in ``rows`` comes from a stable lexicographic sort of both row sets
+    together, so no packed key can overflow.
+    """
+    size = cofaces.shape[1]
+    queries = np.concatenate([np.delete(cofaces, j, axis=1) for j in range(size)])
+    extra = cofaces.T.ravel()
+    coface_values = np.tile(coface_values, size)
+    order = np.lexsort(np.concatenate([rows, queries]).T[::-1])
+    # The sort is stable, so a facet lands right after its equal in `rows`.
+    is_row = order < len(rows)
+    last = np.maximum.accumulate(np.where(is_row, np.arange(len(order)), 0))[~is_row]
+    query = order[~is_row] - len(rows)
+    after_row = is_row[last]
+    facet, query = order[last][after_row], query[after_row]
+    found = (rows[facet] == queries[query]).all(axis=1)
+    facet, query = facet[found], query[found]
+    return facet, extra[query], coface_values[query]
 
 
 def alpha_filtration(points) -> FilteredComplex:

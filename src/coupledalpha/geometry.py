@@ -23,6 +23,8 @@ import numpy as np
 EPS = 1e-9
 # Relative singular-value cutoff for rank decisions in least-squares solves.
 RANK_RCOND = 1e-12
+# Coordinate differences held at once by the blocked pairwise-distance scans (2 MiB).
+_BLOCK_FLOATS = 1 << 18
 
 
 class GeometryError(ValueError):
@@ -83,8 +85,9 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
 def _bisector_point(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EPS) -> np.ndarray:
     """Closest point to ``p`` equidistant from ``u[i]`` and ``v[i]`` for every row i.
 
-    This is the one bisector-flat solve of the package: circumcenters and
-    the candidate centers of relaxed values all come from it. The flat is
+    This is the bisector-flat solve of the package: circumcenters and the
+    candidate centers of ``relaxed_value`` come from it, and
+    ``_bisector_points`` is its stacked twin for batches. The flat is
     {c : (v - u) @ (c - p) = r} with r the residual at ``p``, taken from
     differences to ``p`` so that nothing cancels when the points are far
     from the origin; the closest point is ``p`` plus the minimum-norm
@@ -105,6 +108,37 @@ def _bisector_point(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EP
     if rank < a.shape[0]:
         scale = 1.0 + float(np.abs(r).max())
         if float(np.abs(a @ sol - r).max()) > eps * scale:
+            raise RankDeficient("bisector system has no common solution")
+    return p + sol
+
+
+def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """Stacked twin of ``_bisector_point``: system i solves ``u[i], v[i], p[i]``.
+
+    ``u`` and ``v`` have shape (g, m, d) (``u`` may be (g, 1, d)); ``p`` is
+    (g, d), or (t, g, d) for t anchor points that share the bisector rows
+    and so one stacked SVD. The residual is formed from differences to
+    ``p`` exactly as in the scalar solver, and lstsq's rules are kept:
+    singular values at most ``RANK_RCOND`` times the largest count as
+    zero, a rank below min(m, d) raises RankDeficient, and so does an
+    overdetermined system (m > d) inconsistent beyond ``eps (1 + max|r|)``.
+    """
+    a = v - u
+    if a.shape[-2] == 0:
+        return np.array(p, dtype=float)
+    anchor = p[..., None, :]
+    r = 0.5 * np.einsum("...ij,...ij->...i", a, (v - anchor) + (u - anchor))
+    left, s, right = np.linalg.svd(a, full_matrices=False)
+    # The system is full-rank when every singular value survives the cutoff;
+    # then the minimum-norm solution uses all of them.
+    if (s <= RANK_RCOND * s[:, :1]).any():
+        rank = int((s > RANK_RCOND * s[:, :1]).sum(axis=1).min())
+        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {s.shape[1]})")
+    sol = np.einsum("gqj,...gq->...gj", right, np.einsum("giq,...gi->...gq", left, r) / s)
+    if a.shape[-2] > a.shape[-1]:
+        scale = 1.0 + np.abs(r).max(axis=-1)
+        off = np.abs(np.einsum("gij,...gj->...gi", a, sol) - r).max(axis=-1)
+        if (off > eps * scale).any():
             raise RankDeficient("bisector system has no common solution")
     return p + sol
 
@@ -288,13 +322,25 @@ def _affine_rank(points: np.ndarray) -> int:
     return _hull_coordinates(points)[1]
 
 
+def _sq_distance_blocks(pts: np.ndarray):
+    """Squared distances from blocks of rows of ``pts`` to all rows, as (start, block).
+
+    Each block holds at most about ``_BLOCK_FLOATS`` coordinate differences
+    (at least one row), so a full scan takes O(n) memory beyond its output.
+    """
+    n, d = pts.shape
+    step = max(1, _BLOCK_FLOATS // max(n * d, 1))
+    for start in range(0, n, step):
+        diff = pts[start : start + step, None, :] - pts[None, :, :]
+        yield start, np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def diameter(points) -> float:
     """Largest pairwise distance (0 for fewer than two points)."""
     pts = as_point_array(points)
     if pts.shape[0] < 2:
         return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    return float(np.sqrt(max(block.max() for _, block in _sq_distance_blocks(pts))))
 
 
 def jitter(points, magnitude: float | None = None, seed: int | None = None) -> np.ndarray:

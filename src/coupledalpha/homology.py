@@ -83,12 +83,19 @@ class Interval:
         return self.death - self.birth
 
 
+# Relative length at or below which a finite interval is a sliver: a class
+# born and killed at mathematically equal values that floating point
+# computed through different routes, a few ulps apart.
+_SLIVER = 1e-12
+
+
 @dataclass
 class PersistenceDiagram:
     """All intervals of a filtration, zero-length ones included.
 
-    Most callers want ``intervals()``, which drops the zero-length pairs;
-    they carry no homological information but are kept for audits.
+    Most callers want ``intervals()``, which drops the zero-length pairs
+    and the slivers (length at most 1e-12 times the death value); they
+    carry no homological information but are kept for audits.
     """
 
     all_intervals: list[Interval] = field(default_factory=list)
@@ -97,7 +104,8 @@ class PersistenceDiagram:
         out = [
             iv
             for iv in self.all_intervals
-            if (dim is None or iv.dim == dim) and (include_zero or iv.length > 0.0)
+            if (dim is None or iv.dim == dim)
+            and (include_zero or math.isinf(iv.death) or iv.length > _SLIVER * abs(iv.death))
         ]
         out.sort(key=lambda iv: (iv.dim, iv.birth, iv.death))
         return out

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coupledalpha import PointCloudPair
+from coupledalpha import PointCloudPair, relaxed_value
 from coupledalpha.oracle import feasibility
 
 
@@ -119,3 +119,38 @@ def minimize_relaxed(q_x, q_y, tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def reference_walk(cplx):
+    """Filtration values and Gabriel outcomes by a plain per-simplex walk.
+
+    The scalar form of the top-down walk: one ``relaxed_value`` call per
+    simplex, each coface pushing its value and extra vertex onto its
+    facets in a dict. Returns ``(values, gabriel)``, both keyed by simplex;
+    ``gabriel`` holds the outcome of the coupled Gabriel test for every
+    simplex of dimension at least one.
+    """
+    pair = cplx.pair
+    eps = pair.eps
+    values, gabriel, pending = {}, {}, {}
+    for k in range(cplx.dimension, -1, -1):
+        for simplex in cplx.by_dim(k):
+            if k == 0:
+                values[simplex] = 0.0
+                continue
+            sol = relaxed_value(*pair.split_coords(simplex), eps)
+            min_coface, extras = pending.pop(simplex, [np.inf, []])
+            passed = True
+            for v in extras:
+                radius = sol.radius_x if v < pair.n_x else sol.radius_y
+                dist = float(np.linalg.norm(pair.points[v] - sol.center))
+                passed &= not dist < radius - eps * (1.0 + radius)
+            gabriel[simplex] = passed
+            value = min(sol.relaxed_radius, min_coface) if passed else min_coface
+            values[simplex] = value
+            for drop in range(k + 1):
+                facet = simplex[:drop] + simplex[drop + 1 :]
+                entry = pending.setdefault(facet, [np.inf, []])
+                entry[0] = min(entry[0], value)
+                entry[1].append(simplex[drop])
+    return values, gabriel

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
+import itertools
 import json
 
 import pytest
@@ -119,6 +120,40 @@ def test_filtrate_reports_non_integer_listing_row(capsys, tmp_path, clouds, row)
     assert code == 1
     assert out == ""
     assert err == f"error: {listing}:4: not an integer row: {row!r}\n"
+
+def _listing_of_faces(path, vertices):
+    rows = [
+        ",".join(str(t) for t in (size - 1,) + combo)
+        for size in range(1, len(vertices) + 1)
+        for combo in itertools.combinations(vertices, size)
+    ]
+    path.write_text("".join(row + "\n" for row in rows))
+    return str(path)
+
+
+def test_filtrate_refuses_a_simplex_beyond_d_plus_2_vertices(capsys, tmp_path):
+    x = tmp_path / "x.csv"
+    y = tmp_path / "y.csv"
+    x.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n")
+    y.write_text("1.0,1.0\n3.0,2.0\n")
+    listing = _listing_of_faces(tmp_path / "five.csv", range(5))
+    code, out, err = run(
+        capsys, ["filtrate", str(x), str(y), "--complex", listing, "--format", "json"]
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DimensionOverflow"
+
+
+def test_filtrate_refuses_a_collinear_triangle(capsys, tmp_path):
+    x = tmp_path / "x.csv"
+    x.write_text("0.0,0.0\n1.0,0.0\n2.0,0.0\n")
+    listing = _listing_of_faces(tmp_path / "line.csv", range(3))
+    code, out, err = run(capsys, ["filtrate", str(x), "--complex", listing, "--format", "json"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "RankDeficient"
+
 
 def test_diagram_csv_and_json_inf_handling(capsys, tmp_path):
     x = tmp_path / "solo.csv"

@@ -16,10 +16,13 @@ from coupledalpha.filtration import (
     X_DOMINANT,
     Y_DOMINANT,
     DimensionOverflow,
+    _facets,
+    _gabriel_walk,
+    _relaxed_batch,
     alpha_filtration,
 )
 from coupledalpha.geometry import RankDeficient
-from conftest import minimize_relaxed, random_pair
+from conftest import minimize_relaxed, random_pair, reference_walk
 
 # Worked fixtures: (X vertices, Y vertices, case, radius, center).
 FIXTURES = [
@@ -175,3 +178,70 @@ def test_sorted_items_face_before_coface_on_ties(rng):
             if facet:
                 assert facet in seen
         seen.add(simplex)
+
+
+def _seeded_complexes():
+    """Seeded coupled pairs in d=2 and d=3 and single clouds, as complexes."""
+    rng = np.random.default_rng(4417)
+    pairs = [
+        PointCloudPair(rng.random((40, 2)), rng.random((40, 2)), check=False),
+        PointCloudPair(rng.random((20, 3)), rng.random((20, 3)), check=False),
+        PointCloudPair(rng.random((30, 2)), None, check=False),
+        PointCloudPair(np.zeros((0, 3)), rng.random((20, 3)), check=False),
+    ]
+    return [coupled_alpha_infty(pair) for pair in pairs]
+
+
+def test_batched_relaxed_values_match_scalar():
+    types, cases = set(), set()
+    for cplx in _seeded_complexes():
+        pair = cplx.pair
+        for k in range(1, cplx.dimension + 1):
+            simplices = cplx.by_dim(k)
+            rows = np.array(simplices)
+            center, radius_x, radius_y = _relaxed_batch(pair.points, pair.n_x, rows, pair.eps)
+            for i, simplex in enumerate(simplices):
+                ref = relaxed_value(*pair.split_coords(simplex), pair.eps)
+                qx, qy = pair.split(simplex)
+                types.add((len(qx), len(qy)))
+                cases.add(ref.case)
+                scale = max(ref.relaxed_radius, float(np.abs(ref.center).max()))
+                assert np.abs(center[i] - ref.center).max() <= 1e-12 * scale
+                assert radius_x[i] == pytest.approx(ref.radius_x, rel=1e-12, abs=0.0)
+                assert radius_y[i] == pytest.approx(ref.radius_y, rel=1e-12, abs=0.0)
+    # Every (|Q_X|, |Q_Y|) type of d=2 and d=3 (pure ones included) and every case.
+    assert types == {(a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 5}
+    assert cases == {X_DOMINANT, Y_DOMINANT, CIRCUMSPHERE}
+
+
+def test_coupled_filtration_matches_reference_walk():
+    for cplx in _seeded_complexes():
+        ref_values, ref_gabriel = reference_walk(cplx)
+        values = coupled_filtration(cplx).values
+        assert list(values) == list(ref_values)
+        for simplex, value in values.items():
+            assert value == pytest.approx(ref_values[simplex], rel=1e-12, abs=0.0)
+        gabriel = {}
+        for simplices, _, passed in _gabriel_walk(cplx):
+            if len(simplices[0]) > 1:
+                gabriel.update(zip(simplices, passed.tolist()))
+        assert gabriel == ref_gabriel
+        assert not all(gabriel.values())  # some simplices inherit
+
+
+def test_facet_lookup_takes_indices_beyond_packed_keys():
+    # Eight vertex indices near 2**40 would overflow a key packed into int64.
+    big = 2**40
+    coface = np.array([[big + 3 * i for i in range(8)]])
+    facets = np.array([np.delete(coface[0], j) for j in range(8)])
+    order = np.lexsort(facets.T[::-1])
+    rows = facets[order]
+    facet, extra, value = _facets(rows, coface, np.array([2.5]))
+    for f, e in zip(facet, extra):
+        assert sorted(rows[f].tolist() + [int(e)]) == coface[0].tolist()
+    assert sorted(facet.tolist()) == list(range(8))
+    assert value.tolist() == [2.5] * 8
+    # A facet missing from the rows is skipped rather than misassigned.
+    facet, extra, _ = _facets(rows[1:], coface, np.array([2.5]))
+    assert sorted(facet.tolist()) == list(range(7))
+

@@ -1,12 +1,17 @@
 """Geometric primitives: spheres, bisector flats, lifting, position checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from coupledalpha.delaunay import _prepare
 from coupledalpha.geometry import (
+    DegenerateInput,
     RankDeficient,
     _affine_rank,
     _bisector_point,
+    _bisector_points,
     _circumsphere,
     as_point_array,
     check_coupled_general_position,
@@ -124,6 +129,34 @@ def test_bisector_point_rejects_dependent_rows():
         _bisector_point(u, v, np.ones(2))
 
 
+def test_stacked_bisector_points_match_scalar(rng):
+    for d, m in [(2, 0), (2, 1), (2, 2), (3, 2), (3, 3)]:
+        u = rng.normal(size=(6, m, d))
+        v = rng.normal(size=(6, m, d))
+        p = rng.normal(size=(2, 6, d))
+        stacked = _bisector_points(u, v, p)
+        for t in range(2):
+            for i in range(6):
+                expected = _bisector_point(u[i], v[i], p[t, i])
+                assert np.allclose(stacked[t, i], expected, rtol=1e-12, atol=1e-12)
+    # Overdetermined but consistent: five cospherical points in the plane.
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(4, 5))
+    pts = 3.0 + 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+    assert np.allclose(centers, 3.0, atol=1e-12)
+
+
+def test_stacked_bisector_points_refuse_like_the_scalar_solver():
+    u = np.zeros((2, 2, 2))
+    v = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 0.0]]])
+    with pytest.raises(RankDeficient, match="dependent"):
+        _bisector_points(u, v, np.ones((2, 2)))
+    # Four points in the plane that are not cospherical: no common solution.
+    pts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]]])
+    with pytest.raises(RankDeficient, match="no common solution"):
+        _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+
+
 def test_lift_clouds_heights_exact():
     x = np.array([[0.25, 0.5]])
     y = np.array([[0.75, 0.25], [0.1, 0.9]])
@@ -182,3 +215,19 @@ def test_jitter_reproducible_and_bounded():
     assert float(np.abs(a).max()) <= 1e-3
     c = jitter(pts, magnitude=1e-3, seed=6)
     assert not np.array_equal(a, c)
+
+
+def test_pairwise_scans_take_linear_memory():
+    # 2,000 lifted points in R^4: a full n x n x d difference array is 128 MB.
+    pts = np.random.default_rng(31).random((2000, 4))
+    tracemalloc.start()
+    try:
+        diameter(pts)
+        _prepare(pts, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    pts[1777] = pts[5]
+    with pytest.raises(DegenerateInput, match="points 5 and 1777 coincide"):
+        _prepare(pts, 1e-9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coupledalpha import (
+    PointCloudPair,
     boundary_matrix,
     coupled_alpha_infty,
     coupled_filtration,
@@ -172,3 +173,15 @@ def test_zero_length_intervals_hidden_by_default():
     dgm = persistence_diagram(fc)
     assert len(dgm.intervals(0)) == 1  # only the essential class
     assert len(dgm.intervals(0, include_zero=True)) == 2
+
+
+def test_slivers_are_not_reported_as_homology():
+    # Top Betti vanishing: an R^3 pair has no H3 classes. Tied values that
+    # floating point reached through different routes leave ulp slivers in
+    # dimension 3, which intervals() must not report.
+    rng = np.random.default_rng(0)
+    pair = PointCloudPair(rng.random((20, 3)), rng.random((20, 3)), check=False)
+    dgm = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
+    assert dgm.intervals(3) == []
+    assert dgm.intervals(3, include_zero=True)
+    assert all(iv.length <= 1e-12 * iv.death for iv in dgm.all_intervals if iv.dim == 3)
