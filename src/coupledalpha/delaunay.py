@@ -8,10 +8,20 @@ the cell (-1,) + f through a vertex at infinity (as in CGAL's
 triangulations). A cell at infinity conflicts with the open outer
 half-space of its facet, plus coplanar points strictly inside the facet's
 own circumsphere, so no artificial far-away vertices ever enter a
-circumsphere computation. The result is verified post hoc from the
-spheres and planes the insertion stored: every facet is shared by exactly
-two cells, every point lies inside every hull plane, and every finite
-cell's circumsphere is empty.
+circumsphere computation.
+
+Points are inserted in a seeded random order (Amenta-Choi-Rote,
+"Incremental constructions con BRIO", 2003, without the rounds): a sweep
+in coordinate order walks along the hull and creates many short-lived
+cells. Each insertion is array work on its whole cavity: the boundary
+facets come from one sorted row match over the conflicting cells, the new
+cells get their circumspheres from stacked bisector solves (one for the
+finite cells, one for the cells at infinity), and the new cells at
+infinity their hull planes from one stacked SVD.
+The result is verified post hoc from the spheres and planes the insertion
+stored, as array checks over blocks of cells: every facet is shared by
+exactly two cells, every point lies inside every hull plane, and every
+finite cell's circumsphere is empty.
 
 Point sets whose affine hull is a proper flat of R^m (fewer than m+1
 points, or clouds lying in a common hyperplane, as lifted inputs do when
@@ -19,23 +29,26 @@ one side is small) are triangulated inside their affine hull: both routes
 first map the input isometrically onto hull coordinates.
 
 Cells are emitted as sorted index tuples; under general position the cell
-set is unique, and both routes return it. Points within ``EPS`` of a
-cosphericality (a non-vertex on a candidate cell's circumsphere) raise
-``AmbiguousTriangulation`` instead of silently picking a diagonal.
+set is unique, and both routes return it whatever the insertion order.
+Points within ``EPS`` of a cosphericality (a non-vertex on a candidate
+cell's circumsphere) raise ``AmbiguousTriangulation`` instead of silently
+picking a diagonal.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
+    _BLOCK_FLOATS,
     EPS,
     DegenerateInput,
     GeometryError,
+    RankDeficient,
+    _bisector_points,
     _circumsphere,
     _hull_coordinates,
     _sq_distance_blocks,
@@ -142,38 +155,70 @@ class _CellStore:
         self.offsets = np.zeros(capacity)
         self.count = 0
 
-    def add(self, cell: tuple[int, ...]) -> None:
-        hull = cell[0] == -1
-        pts = self.coords[list(cell[1:] if hull else cell)]
-        sphere = _circumsphere(pts, self.eps)
-        if sphere is None:
-            raise AmbiguousTriangulation(f"cell {cell} is affinely degenerate within tolerance")
-        normal, offset = np.zeros(pts.shape[1]), 0.0
-        if hull:
-            if pts.shape[1] == 1:
-                normal = np.ones(1)
-            else:
-                normal = np.linalg.svd(pts[1:] - pts[0], full_matrices=True)[2][-1]
-            ref = float(normal @ (self.interior - pts[0]))
-            if abs(ref) <= self.side_tol:
-                raise AmbiguousTriangulation(
-                    f"cannot orient hull cell {cell}; input degenerate within tolerance"
-                )
-            if ref > 0.0:
-                normal = -normal
-            offset = float(normal @ pts[0])
-        if self.count == self.verts.shape[0]:
+    def add(self, cells: np.ndarray) -> None:
+        """Append a (g, m+1) block of sorted cells with their spheres and planes."""
+        g, m = cells.shape[0], self.coords.shape[1]
+        hull = cells[:, 0] == -1
+        centers = np.empty((g, m))
+        radii2 = np.empty(g)
+        normals = np.zeros((g, m))
+        offsets = np.zeros(g)
+        for sel, infinite in ((~hull, 0), (hull, 1)):
+            if not sel.any():
+                continue
+            pts = self.coords[cells[sel, infinite:]]  # (h, k, m): finite vertices per row
+            center = self._circumcenters(cells[sel], pts)
+            centers[sel] = center
+            radii2[sel] = np.linalg.norm(center - pts[:, 0], axis=1) ** 2
+            if infinite:
+                normals[sel], offsets[sel] = self._hull_planes(cells[sel], pts)
+
+        if self.count + g > len(self.verts):
+            # Double, or more when one block outgrows a doubling.
+            grow = max(len(self.verts), self.count + g - len(self.verts))
             for name in ("verts", "centers", "radii2", "normals", "offsets"):
                 arr = getattr(self, name)
-                setattr(self, name, np.concatenate([arr, np.zeros_like(arr)]))
+                pad = np.zeros((grow,) + arr.shape[1:], dtype=arr.dtype)
+                setattr(self, name, np.concatenate([arr, pad]))
             self.radii2[self.count :] = -np.inf
-        row = self.count
-        self.verts[row] = cell
-        self.centers[row] = sphere.center
-        self.radii2[row] = sphere.radius**2
-        self.normals[row] = normal
-        self.offsets[row] = offset
-        self.count += 1
+        rows = slice(self.count, self.count + g)
+        self.verts[rows] = cells
+        self.centers[rows] = centers
+        self.radii2[rows] = radii2
+        self.normals[rows] = normals
+        self.offsets[rows] = offsets
+        self.count += g
+
+    def _circumcenters(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Circumcenters of the point rows ``pts`` (h, k, m), in one stacked solve."""
+        try:
+            return _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0], self.eps)
+        except RankDeficient:
+            # Name the first degenerate cell; only a refused insertion runs this loop.
+            for cell, one in zip(cells.tolist(), pts):
+                try:
+                    _bisector_points(one[None, :1], one[None, 1:], one[None, 0], self.eps)
+                except RankDeficient:
+                    raise AmbiguousTriangulation(
+                        f"cell {tuple(cell)} is affinely degenerate within tolerance"
+                    ) from None
+            raise
+
+    def _hull_planes(self, cells: np.ndarray, pts: np.ndarray):
+        """Unit outward normals and offsets of the hull cells with finite vertices ``pts``."""
+        if pts.shape[2] == 1:
+            normals = np.ones((len(pts), 1))
+        else:
+            normals = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)[2][:, -1]
+        ref = np.einsum("ij,ij->i", normals, self.interior - pts[:, 0])
+        flat = np.abs(ref) <= self.side_tol
+        if flat.any():
+            raise AmbiguousTriangulation(
+                f"cannot orient hull cell {tuple(cells[flat.argmax()].tolist())}; "
+                "input degenerate within tolerance"
+            )
+        normals[ref > 0.0] *= -1.0
+        return normals, np.einsum("ij,ij->i", normals, pts[:, 0])
 
     def kill(self, rows) -> None:
         self.radii2[rows] = -np.inf
@@ -191,13 +236,24 @@ class _CellStore:
     def live(self) -> np.ndarray:
         return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
 
-    def cells(self, rows) -> list[tuple[int, ...]]:
-        return [tuple(cell) for cell in self.verts[rows].tolist()]
+
+def _distinct_facets(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct facets of the (k, w) sorted cells, sorted, and how many cells share each."""
+    w = cells.shape[1]
+    # Row j of the mask keeps every column but j, so each facet stays sorted.
+    facets = cells[:, None, :].repeat(w, axis=1)[:, ~np.eye(w, dtype=bool)].reshape(-1, w - 1)
+    facets = facets[np.lexsort(facets.T[::-1])]
+    first = np.ones(len(facets), dtype=bool)
+    np.any(facets[1:] != facets[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return facets[starts], np.diff(np.append(starts, len(facets)))
 
 
-def _facet_counts(cells) -> Counter:
-    """How many of the given cells share each facet."""
-    return Counter(cell[:drop] + cell[drop + 1 :] for cell in cells for drop in range(len(cell)))
+def _distances(centers: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Distances from each center to every point, as a (centers, points) array."""
+    diff = coords[None, :, :] - centers[:, None, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return np.sqrt(dist2, out=dist2)
 
 
 def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
@@ -222,13 +278,13 @@ def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[
 
 
 def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
-    order = np.lexsort(coords.T[::-1])  # deterministic insertion order
+    # A fixed seed keeps runs deterministic; the cells are sorted on output.
+    order = np.random.default_rng(2003).permutation(coords.shape[0])
     init = _initial_simplex(coords, order, eps)
     store = _CellStore(coords, coords[init].mean(axis=0), eps)
-    start = tuple(sorted(init))
-    store.add(start)
-    for drop in range(len(start)):
-        store.add((-1,) + start[:drop] + start[drop + 1 :])
+    start = np.array(sorted(init))
+    facets = _distinct_facets(start[None])[0]
+    store.add(np.vstack([start, np.column_stack([np.full(len(facets), -1), facets])]))
 
     seeded = set(init)
     for p_idx in order.tolist():
@@ -239,16 +295,15 @@ def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
             raise AmbiguousTriangulation(
                 f"point {p_idx} conflicts with no cell; input degenerate within tolerance"
             )
-        facet_count = _facet_counts(store.cells(bad))
-        if any(v > 2 for v in facet_count.values()):
+        facets, counts = _distinct_facets(store.verts[bad])
+        if (counts > 2).any():
             raise AmbiguousTriangulation(
                 f"insertion cavity of point {p_idx} is inconsistent; "
                 "input degenerate within tolerance"
             )
         store.kill(bad)
-        for facet, count in facet_count.items():
-            if count == 1:
-                store.add(tuple(sorted(facet + (p_idx,))))
+        boundary = facets[counts == 1]
+        store.add(np.sort(np.column_stack([boundary, np.full(len(boundary), p_idx)]), axis=1))
     return store
 
 
@@ -260,37 +315,55 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore, eps: float) -> list[
     tile the convex hull), every point to lie on the inner side of each
     hull cell's plane, and every finite cell's circumsphere to be empty.
     A non-member on a circumsphere within tolerance is a genuine ambiguity
-    of the input. Returns the finite cells, sorted.
+    of the input. The plane and sphere checks run over blocks of cells
+    against all points, at most about ``_BLOCK_FLOATS`` coordinate
+    differences at a time. Returns the finite cells, sorted.
     """
     rows = store.live()
-    cells = store.cells(rows)
-    finite = sorted(cell for cell in cells if cell[0] != -1)
-    if not finite:
+    cells = store.verts[rows]
+    hull = cells[:, 0] == -1
+    finite = cells[~hull]
+    if not len(finite):
         raise AmbiguousTriangulation("triangulation came out empty")
-    if {v for cell in finite for v in cell} != set(range(coords.shape[0])):
+    n, m = coords.shape
+    used = np.zeros(n, dtype=bool)
+    used[finite] = True
+    if not used.all():
         raise AmbiguousTriangulation("triangulation does not use every point")
-    if any(v != 2 for v in _facet_counts(cells).values()):
+    if (_distinct_facets(cells)[1] != 2).any():
         raise AmbiguousTriangulation("a facet is not shared by exactly two cells")
-    for row, cell in zip(rows.tolist(), cells):
-        if cell[0] == -1:
-            side = coords @ store.normals[row] - store.offsets[row]
-            if bool((side > store.side_tol).any()):
-                raise AmbiguousTriangulation(f"a point lies outside hull cell {cell}")
-            continue
-        radius = float(np.sqrt(store.radii2[row]))
-        dist = np.linalg.norm(coords - store.centers[row], axis=1)
-        dist[list(cell)] = np.inf
+    step = max(1, _BLOCK_FLOATS // max(n * m, 1))
+
+    hull_rows = rows[hull]
+    for start in range(0, len(hull_rows), step):
+        block = hull_rows[start : start + step]
+        side = coords @ store.normals[block].T - store.offsets[block]
+        outside = (side > store.side_tol).any(axis=0)
+        if outside.any():
+            cell = tuple(store.verts[block[outside.argmax()]].tolist())
+            raise AmbiguousTriangulation(f"a point lies outside hull cell {cell}")
+
+    finite_rows = rows[~hull]
+    for start in range(0, len(finite_rows), step):
+        block = finite_rows[start : start + step]
+        dist = _distances(store.centers[block], coords)
+        np.put_along_axis(dist, store.verts[block], np.inf, axis=1)
+        radius = np.sqrt(store.radii2[block])[:, None]
         tol = eps * (1.0 + radius)
-        if bool((dist < radius - tol).any()):
+        inside = dist < radius - tol
+        on = np.abs(dist - radius) <= tol
+        bad = inside.any(axis=1) | on.any(axis=1)
+        if bad.any():
+            first = int(bad.argmax())
+            cell = tuple(store.verts[block[first]].tolist())
+            if inside[first].any():
+                raise AmbiguousTriangulation(
+                    f"a point lies strictly inside the circumsphere of cell {cell}"
+                )
             raise AmbiguousTriangulation(
-                f"a point lies strictly inside the circumsphere of cell {cell}"
+                f"point {int(on[first].argmax())} lies on the circumsphere of cell {cell}"
             )
-        on = np.nonzero(np.abs(dist - radius) <= tol)[0]
-        if on.size:
-            raise AmbiguousTriangulation(
-                f"point {int(on[0])} lies on the circumsphere of cell {cell}"
-            )
-    return finite
+    return sorted(map(tuple, finite.tolist()))
 
 
 def delaunay_incremental(points, eps: float = EPS) -> Triangulation:

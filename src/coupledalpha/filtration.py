@@ -128,11 +128,14 @@ def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
 
     if n_x == 0 or n_y == 0:
         pts = q_x if n_x else q_y
-        center = _bisector_point(pts[0], pts[1:], pts[0], eps)
-        radius = float(np.linalg.norm(center - pts[0]))
+        # Solve relative to the first vertex and read the radius off that
+        # solution, before adding the vertex back rounds it to the coordinates.
+        rel = pts - pts[0]
+        sol = _bisector_point(rel[0], rel[1:], rel[0], eps)
+        radius = float(np.linalg.norm(sol))
         if n_x:
-            return SphereSolution(center, radius, 0.0, X_DOMINANT)
-        return SphereSolution(center, 0.0, radius, Y_DOMINANT)
+            return SphereSolution(sol + pts[0], radius, 0.0, X_DOMINANT)
+        return SphereSolution(sol + pts[0], 0.0, radius, Y_DOMINANT)
 
     # Work in coordinates shifted to the simplex centroid for conditioning.
     shift = np.vstack([q_x, q_y]).mean(axis=0)
@@ -217,7 +220,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
     ``rows`` is an (m, k+1) array of sorted global vertex indices, X ones
     first. Rows are grouped by their X count and each group is solved in
     stacked bisector solves with the arithmetic of ``relaxed_value``:
-    pure rows from their first vertex, mixed rows shifted to their
+    pure rows shifted to their first vertex, mixed rows shifted to their
     centroid, with the X and Y candidates sharing one factorization and
     the circumsphere solved only where neither radius dominates. Returns
     ``(center, radius_x, radius_y)`` of shapes (m, d), (m,), (m,).
@@ -239,9 +242,13 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
         sel = np.flatnonzero(counts == n_qx)
         pts = points[rows[sel]]  # (g, size, dim)
         if n_qx in (0, size):
-            c = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0], eps)
-            center[sel] = c
-            (radius_x if n_qx else radius_y)[sel] = np.linalg.norm(c - pts[:, 0], axis=1)
+            # Shifted to the first vertex, whose coordinates then add to the
+            # center only: the radius is read off the unrounded solution.
+            first = pts[:, 0]
+            rel = pts - first[:, None]
+            sol = _bisector_points(rel[:, :1], rel[:, 1:], rel[:, 0], eps)
+            center[sel] = sol + first
+            (radius_x if n_qx else radius_y)[sel] = np.linalg.norm(sol, axis=1)
             continue
         # Work in coordinates shifted to each simplex's centroid for conditioning.
         shift = pts.mean(axis=1)

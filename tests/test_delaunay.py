@@ -95,15 +95,53 @@ def test_single_point_and_empty():
     assert delaunay_incremental(np.zeros((0, 2))).cells == ()
 
 
-@pytest.mark.parametrize("dim,n", [(2, 300), (3, 100)])
+@pytest.mark.parametrize("dim,n", [(2, 300), (3, 100), (2, 1000), (3, 200)])
 def test_lifted_pairs_match_qhull(dim, n):
     # The brute-force oracle cannot reach this scale; Qhull can. Centering
     # spares Qhull the offset, and Delaunay cells are translation invariant.
-    rng = np.random.default_rng(1000 + dim)
+    # Seed 1002 at 1000+1000 is refused by contract: point 1547 lies 1.19e-9
+    # outside the circumsphere (radius 0.50) of cell (824, 914, 924, 1087),
+    # within the tolerance EPS (1 + r) = 1.50e-9.
+    rng = np.random.default_rng(1012 if n == 1000 else 1000 + dim)
     lifted = lift_clouds(rng.random((n, dim)), rng.random((n, dim)))
     qhull = Delaunay(lifted - lifted.mean(axis=0))
     expected = tuple(sorted(tuple(sorted(int(v) for v in s)) for s in qhull.simplices))
     assert delaunay_incremental(lifted).cells == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_permutation_invariance(dim):
+    # Permuting the rows changes which point the seeded order inserts when,
+    # so this covers other insertion orders; the cells must not change.
+    rng = np.random.default_rng(2000 + dim)
+    lifted = lift_clouds(rng.random((60, dim)), rng.random((60, dim)))
+    cells = delaunay_incremental(lifted).cells
+    for _ in range(4):
+        perm = rng.permutation(len(lifted))
+        moved = delaunay_incremental(lifted[perm]).cells
+        assert tuple(sorted(tuple(sorted(int(perm[v]) for v in cell)) for cell in moved)) == cells
+
+
+def _scaled_lifted_pair(seed, n, dim, scale):
+    rng = np.random.default_rng(seed)
+    return lift_clouds(scale * rng.random((n, dim)), scale * rng.random((n, dim)))
+
+
+def test_insertion_refuses_an_inconsistent_cavity():
+    # At scale 1e-6 the absolute tolerance swamps the clouds' spread, so the
+    # conflict tests of one insertion disagree: some facet of its cavity is
+    # shared by more than two conflicting cells.
+    with pytest.raises(AmbiguousTriangulation, match="cavity of point .* is inconsistent"):
+        delaunay_incremental(_scaled_lifted_pair(189, 20, 2, 1e-6))
+
+
+def test_insertion_refuses_an_affinely_degenerate_cell():
+    # At scale 1e6 the unit lift height is tiny against the clouds' extent,
+    # so the cells spanning both heights have huge, imprecise spheres; a
+    # cavity takes a hull facet in the plane of X without the cell behind
+    # it, and the new cell lies flat in that plane.
+    with pytest.raises(AmbiguousTriangulation, match="cell .* is affinely degenerate"):
+        delaunay_incremental(_scaled_lifted_pair(175, 40, 2, 1e6))
 
 
 def _triangulated_store():

@@ -245,3 +245,22 @@ def test_facet_lookup_takes_indices_beyond_packed_keys():
     facet, extra, _ = _facets(rows[1:], coface, np.array([2.5]))
     assert sorted(facet.tolist()) == list(range(7))
 
+
+def test_pure_radius_is_not_rounded_to_the_coordinates():
+    # Edge (50, 57) of a seeded 60+60 planar pair under x -> 0.01 x + 1e3:
+    # the half-length is 1e-7 of the coordinates, so a radius read off the
+    # center p + sol, rounded to the coordinate grid, is only good to ~1e-9.
+    x = np.array(
+        [[1000.005390565905, 1000.0015377939134], [1000.0053346940405, 1000.0013646485072]]
+    )
+    exact = float(np.linalg.norm(x[1] - x[0])) / 2.0  # the difference is exact here
+    assert relaxed_value(x, None).radius_x == pytest.approx(exact, rel=1e-15, abs=0.0)
+    assert relaxed_value(None, x).radius_y == pytest.approx(exact, rel=1e-15, abs=0.0)
+    # A third vertex far outside the edge's diametral ball keeps it Gabriel.
+    cloud = np.vstack([x, x[0] + [2e-4, 5e-4]])
+    for pair in (
+        PointCloudPair(cloud, None, check=False),
+        PointCloudPair(np.zeros((0, 2)), cloud, check=False),
+    ):
+        value = coupled_filtration(coupled_alpha_infty(pair)).values[(0, 1)]
+        assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
