@@ -6,20 +6,20 @@ infinite radius it is computed combinatorially: embed X at height 0 and Y
 at height 1 in one extra dimension, take the Delaunay triangulation of
 the union, and project the faces back down by forgetting the extra
 coordinate. Vertex indices are global: X points come first, Y points
-follow, so a simplex is a sorted tuple of ints and its X/Y split is a
-threshold comparison.
+follow, so a simplex is a sorted row of ints and its X/Y split is a
+threshold comparison. The complex keeps one array of such rows per
+dimension, made from the cells by sorted row operations (``_rows``).
 
 The plain alpha complex of a single cloud is the same object with the
-other cloud empty, and is computed directly from the cloud's Delaunay
-triangulation.
+other cloud empty (``PointCloudPair(points, None)``), and is computed
+directly from the cloud's Delaunay triangulation.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
+from ._rows import facets, unique
 from .delaunay import delaunay_incremental
 from .geometry import (
     EPS,
@@ -79,12 +79,6 @@ class PointCloudPair:
         """All points, X rows first then Y rows."""
         return self._points
 
-    def side(self, index: int) -> str:
-        """'x' or 'y' depending on which cloud a global index names."""
-        if not 0 <= index < self.n_total:
-            raise IndexError(f"vertex index {index} out of range")
-        return "x" if index < self.n_x else "y"
-
     def split(self, simplex: Simplex) -> tuple[Simplex, Simplex]:
         """Partition a global-index simplex into its X part and Y part."""
         qx = tuple(i for i in simplex if i < self.n_x)
@@ -93,53 +87,56 @@ class PointCloudPair:
             raise ValueError(f"simplex {simplex} is not sorted")
         return qx, qy
 
-    def split_coords(self, simplex: Simplex) -> tuple[np.ndarray, np.ndarray]:
-        qx, qy = self.split(simplex)
-        return self._points[list(qx)], self._points[list(qy)]
-
 
 class CoupledComplex:
     """A finite simplicial complex over a point-cloud pair.
 
-    Simplices are sorted global-index tuples, stored in (dimension,
-    lexicographic) order and closed under taking faces.
+    ``rows[k]`` holds the k-simplices as an (m_k, k+1) int array of sorted
+    global vertex indices, distinct and in lexicographic order (built from
+    sorted tuples unless given). ``simplices`` and ``by_dim`` list them as
+    tuples in (dimension, lexicographic) order, each made once on demand.
     """
 
-    def __init__(self, pair: PointCloudPair, simplices):
-        self.pair = pair
-        self.simplices: tuple[Simplex, ...] = tuple(
-            sorted(set(simplices), key=lambda s: (len(s), s))
-        )
-        self._by_dim: dict[int, list[Simplex]] = {}
-        for s in self.simplices:
-            self._by_dim.setdefault(len(s) - 1, []).append(s)
+    def __init__(self, pair: PointCloudPair | None, simplices=(), rows=None):
+        self.pair = pair  # None under a bare filtration
+        if rows is None:
+            simplices = sorted(set(simplices), key=lambda s: (len(s), s))
+            top = len(simplices[-1]) if simplices else 0
+            groups = [[s for s in simplices if len(s) == k] for k in range(1, top + 1)]
+            rows = [np.array(g, dtype=np.int64).reshape(-1, k + 1) for k, g in enumerate(groups)]
+        self.rows: list[np.ndarray] = rows
+        self._tuples: list[list[Simplex]] | None = None
+
+    @property
+    def simplices(self) -> tuple[Simplex, ...]:
+        return tuple(s for k in range(len(self.rows)) for s in self.by_dim(k))
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(len(r) for r in self.rows)
 
     def __iter__(self):
         return iter(self.simplices)
 
     @property
     def dimension(self) -> int:
-        return max(self._by_dim, default=-1)
+        return len(self.rows) - 1
 
     def by_dim(self, k: int) -> list[Simplex]:
-        return list(self._by_dim.get(k, ()))
+        if self._tuples is None:
+            self._tuples = [list(map(tuple, r.tolist())) for r in self.rows]
+        return list(self._tuples[k]) if 0 <= k < len(self.rows) else []
 
     def counts(self) -> tuple[int, ...]:
         """Number of simplices per dimension, from 0 up."""
-        top = self.dimension
-        return tuple(len(self._by_dim.get(k, ())) for k in range(top + 1))
+        return tuple(len(r) for r in self.rows)
 
 
-def _closure(cells, n_vertices: int) -> set[Simplex]:
-    faces: set[Simplex] = {(i,) for i in range(n_vertices)}
-    for cell in cells:
-        for size in range(2, len(cell) + 1):
-            faces.update(itertools.combinations(cell, size))
-        faces.update((v,) for v in cell)
-    return faces
+def _closure(cells: np.ndarray, n_vertices: int) -> list[np.ndarray]:
+    """Rows of every face of the (sorted, distinct) cells per dimension, all vertices included."""
+    rows = [cells] if len(cells) else []
+    while rows and rows[-1].shape[1] > 2:
+        rows.append(unique(facets(rows[-1]))[0])
+    return [np.arange(n_vertices).reshape(-1, 1)] + rows[::-1]
 
 
 def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
@@ -159,21 +156,12 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
         points, what = lift_clouds(pair.x, pair.y), "lifted pair"
     else:
         points, what = pair.points, "cloud"
-    cells = delaunay_incremental(points, pair.eps).cells
+    cells = np.array(delaunay_incremental(points, pair.eps).cells, dtype=np.int64)
     # The triangulation works inside the affine hull: its cells have rank + 1 vertices.
-    rank = len(cells[0]) - 1 if cells else 0
+    rank = cells.shape[1] - 1 if len(cells) else 0
     expected = min(pair.n_total - 1, points.shape[1])
     if rank < expected:
         raise DegenerateInput(f"{what}: points span only a {rank}-flat (expected {expected})")
     # Forgetting the height coordinate keeps vertex indices; faces of the
     # lifted cells are exactly the coupled simplices.
-    return CoupledComplex(pair, _closure(cells, pair.n_total))
-
-
-def alpha_infty(points) -> CoupledComplex:
-    """The alpha complex of a single cloud at infinite radius.
-
-    Returned over a pair with an empty second cloud, so the same
-    filtration and homology machinery applies unchanged.
-    """
-    return coupled_alpha_infty(PointCloudPair(points, None, check=False))
+    return CoupledComplex(pair, rows=_closure(cells, pair.n_total))

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import facets, unique
 from .geometry import (
     _BLOCK_FLOATS,
     EPS,
@@ -237,18 +238,6 @@ class _CellStore:
         return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
 
 
-def _distinct_facets(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct facets of the (k, w) sorted cells, sorted, and how many cells share each."""
-    w = cells.shape[1]
-    # Row j of the mask keeps every column but j, so each facet stays sorted.
-    facets = cells[:, None, :].repeat(w, axis=1)[:, ~np.eye(w, dtype=bool)].reshape(-1, w - 1)
-    facets = facets[np.lexsort(facets.T[::-1])]
-    first = np.ones(len(facets), dtype=bool)
-    np.any(facets[1:] != facets[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    return facets[starts], np.diff(np.append(starts, len(facets)))
-
-
 def _distances(centers: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Distances from each center to every point, as a (centers, points) array."""
     diff = coords[None, :, :] - centers[:, None, :]
@@ -283,8 +272,8 @@ def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
     init = _initial_simplex(coords, order, eps)
     store = _CellStore(coords, coords[init].mean(axis=0), eps)
     start = np.array(sorted(init))
-    facets = _distinct_facets(start[None])[0]
-    store.add(np.vstack([start, np.column_stack([np.full(len(facets), -1), facets])]))
+    hull = unique(facets(start[None]))[0]
+    store.add(np.vstack([start, np.column_stack([np.full(len(hull), -1), hull])]))
 
     seeded = set(init)
     for p_idx in order.tolist():
@@ -295,14 +284,14 @@ def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
             raise AmbiguousTriangulation(
                 f"point {p_idx} conflicts with no cell; input degenerate within tolerance"
             )
-        facets, counts = _distinct_facets(store.verts[bad])
+        cavity, counts = unique(facets(store.verts[bad]))
         if (counts > 2).any():
             raise AmbiguousTriangulation(
                 f"insertion cavity of point {p_idx} is inconsistent; "
                 "input degenerate within tolerance"
             )
         store.kill(bad)
-        boundary = facets[counts == 1]
+        boundary = cavity[counts == 1]
         store.add(np.sort(np.column_stack([boundary, np.full(len(boundary), p_idx)]), axis=1))
     return store
 
@@ -330,7 +319,7 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore, eps: float) -> list[
     used[finite] = True
     if not used.all():
         raise AmbiguousTriangulation("triangulation does not use every point")
-    if (_distinct_facets(cells)[1] != 2).any():
+    if (unique(facets(cells))[1] != 2).any():
         raise AmbiguousTriangulation("a facet is not shared by exactly two cells")
     step = max(1, _BLOCK_FLOATS // max(n * m, 1))
 

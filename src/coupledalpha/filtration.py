@@ -22,10 +22,9 @@ a common point. Values are computed top-down:
   and the open Y ball its Y vertices. For a pure simplex this
   degenerates to the classical one-ball Gabriel test against its own
   cloud. It runs as array comparisons over (facet, coface) rows, one per
-  dropped vertex of each coface, with facets found by a lexicographic
-  row sort. A simplex that passes against every coface keeps its relaxed
-  value, anything else inherits the minimum over its cofaces, scattered
-  with ``np.minimum.at``.
+  dropped vertex of each coface, found by one sorted row match. A simplex
+  that passes against every coface keeps its relaxed value, anything else
+  inherits the minimum over its cofaces, scattered with ``np.minimum.at``.
 
 Vertices get value 0 and values are monotone along face inclusions by
 construction. A simplex without cofaces starts from ``math.inf``, the
@@ -37,10 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .complexes import CoupledComplex, Simplex, alpha_infty
+from ._rows import facets, match
+from .complexes import CoupledComplex, Simplex
 from .geometry import EPS, GeometryError, _bisector_point, _bisector_points, as_point_array
 
 X_DOMINANT = "X_DOMINANT"
@@ -74,35 +75,39 @@ class SphereSolution:
         return max(self.radius_x, self.radius_y)
 
 
-@dataclass(eq=False)
 class FilteredComplex:
-    """Simplices with filtration values, sorted by (value, dim, lex)."""
+    """A complex with float64 filtration values alongside its rows.
 
-    values: dict[Simplex, float]
+    ``levels[k]`` holds the values of the k-simplices ``cplx.rows[k]``;
+    both come from a dict ``{simplex: value}`` unless given.
+    ``values`` is a dict view made once, top dimension first as the walk assigns them.
+    """
+
+    def __init__(self, values: dict[Simplex, float] | None = None, cplx=None, levels=None):
+        if cplx is None:
+            cplx = CoupledComplex(None, values)
+            by_dim = map(cplx.by_dim, range(len(cplx.rows)))
+            levels = [np.array([values[s] for s in simplices], dtype=float) for simplices in by_dim]
+        self.cplx, self.levels = cplx, levels
+
+    @cached_property
+    def values(self) -> dict[Simplex, float]:
+        dims = range(len(self.levels) - 1, -1, -1)
+        return {s: v for k in dims for s, v in zip(self.cplx.by_dim(k), self.levels[k].tolist())}
+
+    def order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dimension, index into ``cplx.rows[k]``) of each simplex in filtration order:
+        one lexsort by (value, dimension, lexicographic rank), faces first at ties."""
+        sizes = self.cplx.counts()
+        dim = np.repeat(np.arange(len(sizes)), sizes)
+        index = np.concatenate([np.zeros(0, dtype=np.intp), *map(np.arange, sizes)])
+        order = np.lexsort((index, dim, np.concatenate([np.zeros(0), *self.levels])))
+        return dim[order], index[order]
 
     def sorted_items(self) -> list[tuple[Simplex, float]]:
-        return sorted(self.values.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))
-
-    def simplices(self) -> list[Simplex]:
-        return sorted(self.values, key=lambda s: (len(s), s))
-
-    def max_value(self) -> float:
-        return max(self.values.values(), default=0.0)
-
-    def at_radius(self, radius: float) -> list[Simplex]:
-        """Simplices present at the given radius."""
-        return [s for s, v in self.values.items() if v <= radius]
-
-    def check_monotone(self, tol: float = 0.0) -> bool:
-        """True iff every simplex's value is >= each of its facets' values."""
-        for simplex, value in self.values.items():
-            if len(simplex) == 1:
-                continue
-            for drop in range(len(simplex)):
-                facet = simplex[:drop] + simplex[drop + 1 :]
-                if self.values[facet] > value + tol:
-                    return False
-        return True
+        dim, index = self.order()
+        items = [list(zip(self.cplx.by_dim(k), v.tolist())) for k, v in enumerate(self.levels)]
+        return [items[k][i] for k, i in zip(dim.tolist(), index.tolist())]
 
 
 def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
@@ -175,33 +180,36 @@ def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
     always taken, which makes the result monotone under float arithmetic
     too. The tolerance is the pair's ``eps``.
     """
-    values: dict[Simplex, float] = {}
-    for simplices, value, _ in _gabriel_walk(cplx):
-        values.update(zip(simplices, value.tolist()))
-    return FilteredComplex(values)
+    levels = [value for _, value, _ in _gabriel_walk(cplx)]
+    return FilteredComplex(cplx=cplx, levels=levels[::-1])
 
 
 def _gabriel_walk(cplx: CoupledComplex):
-    """Yield ``(simplices, values, gabriel)`` per dimension, top down.
+    """Yield ``(rows, values, gabriel)`` per dimension, top down.
 
-    ``gabriel[i]`` tells whether simplex i passed the coupled Gabriel test
-    against every coface (vertices pass by definition, with value 0).
+    ``gabriel[i]`` tells whether simplex ``rows[i]`` passed the coupled
+    Gabriel test against every coface (vertices pass by definition, with
+    value 0).
     """
     pair = cplx.pair
     points, n_x, eps = pair.points, pair.n_x, pair.eps
     above = None  # rows and values of the dimension above
     for k in range(cplx.dimension, -1, -1):
-        simplices = cplx.by_dim(k)
-        rows = np.array(simplices, dtype=np.intp).reshape(len(simplices), k + 1)
+        rows = cplx.rows[k]
         gabriel = np.ones(len(rows), dtype=bool)
         if k == 0:
-            yield simplices, np.zeros(len(rows)), gabriel
+            yield rows, np.zeros(len(rows)), gabriel
             return
         center, radius_x, radius_y = _relaxed_batch(points, n_x, rows, eps)
         min_coface = np.full(len(rows), math.inf)
         if above is not None:
-            facet, extra, coface_value = _facets(rows, *above)
-            np.minimum.at(min_coface, facet, coface_value)
+            # Facet j of a coface drops its vertex j; facets absent from the
+            # complex are skipped.
+            cofaces, coface_value = above
+            facet = match(rows, facets(cofaces))
+            found = facet >= 0
+            facet, extra = facet[found], cofaces.ravel()[found]
+            np.minimum.at(min_coface, facet, np.repeat(coface_value, k + 2)[found])
             # Coupled Gabriel test: every coface vertex stays outside the open
             # ball of its own cloud. A cloud the simplex lacks has radius 0,
             # so a pure simplex gets the classical Gabriel test.
@@ -210,7 +218,7 @@ def _gabriel_walk(cplx: CoupledComplex):
             gabriel[facet[dist < radius - eps * (1.0 + radius)]] = False
         relaxed = np.maximum(radius_x, radius_y)
         value = np.where(gabriel, np.minimum(relaxed, min_coface), min_coface)
-        yield simplices, value, gabriel
+        yield rows, value, gabriel
         above = rows, value
 
 
@@ -276,36 +284,3 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
         radius_x[sel] = r_x
         radius_y[sel] = r_y
     return center, radius_x, radius_y
-
-
-def _facets(rows: np.ndarray, cofaces: np.ndarray, coface_values: np.ndarray):
-    """Every (facet row, extra vertex, coface value) of the cofaces found in ``rows``.
-
-    Dropping column j of each coface gives a facet; the facet's position
-    in ``rows`` comes from a stable lexicographic sort of both row sets
-    together, so no packed key can overflow.
-    """
-    size = cofaces.shape[1]
-    queries = np.concatenate([np.delete(cofaces, j, axis=1) for j in range(size)])
-    extra = cofaces.T.ravel()
-    coface_values = np.tile(coface_values, size)
-    order = np.lexsort(np.concatenate([rows, queries]).T[::-1])
-    # The sort is stable, so a facet lands right after its equal in `rows`.
-    is_row = order < len(rows)
-    last = np.maximum.accumulate(np.where(is_row, np.arange(len(order)), 0))[~is_row]
-    query = order[~is_row] - len(rows)
-    after_row = is_row[last]
-    facet, query = order[last][after_row], query[after_row]
-    found = (rows[facet] == queries[query]).all(axis=1)
-    facet, query = facet[found], query[found]
-    return facet, extra[query], coface_values[query]
-
-
-def alpha_filtration(points) -> FilteredComplex:
-    """Alpha filtration of a single cloud.
-
-    The one-cloud specialization of the coupled machinery: the complex is
-    the Delaunay closure and every simplex is pure, so the relaxed value
-    is the circumsphere radius and the Gabriel test is the classical one.
-    """
-    return coupled_filtration(alpha_infty(points))

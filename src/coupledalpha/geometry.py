@@ -313,7 +313,8 @@ def _hull_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((pts.shape[0], 0)), 0
-    rank = int((s > RANK_RCOND * max(pts.shape) * s[0]).sum())
+    scale = max(float(s[0]), float(np.abs(pts).max()))  # centring round-off grows with max|x|
+    rank = int((s > RANK_RCOND * max(pts.shape) * scale).sum())
     return centered @ vt[:rank].T, rank
 
 

@@ -1,18 +1,24 @@
 """Persistent homology over GF(2) by boundary matrix reduction.
 
-Simplices are ordered by (value, dimension, vertex tuple); the dimension
-tie-break puts every face before its cofaces at equal values, so any
-monotone filtration yields a valid ordering. Columns are stored as Python
-integers used as bitmasks, which keeps the XOR inner loop in C.
+Simplices are ordered by (value, dimension, lexicographic rank), so at
+equal values every face comes before its cofaces. A k-simplex's boundary
+is the ranks of its facets among the (k-1)-simplices in that order, which
+takes memory proportional to the nonzeros. Dimensions are reduced from
+the top down with clearing (Chen-Kerber, "Persistent homology computation
+with a twist", 2011): a pivot one dimension up creates a class, so its
+own column is skipped. A reduced column is a Python-int bitmask over the
+ranks, which keeps the XOR loop in C. Dimension 0 is paired by union-find
+with the elder rule, which gives the pairs the reduction would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import math
+import numpy as np
 
-from .complexes import Simplex
+from ._rows import facets, match
 from .filtration import FilteredComplex
 
 
@@ -20,54 +26,69 @@ class NonMonotone(ValueError):
     """A simplex enters the filtration before one of its faces."""
 
 
-def boundary_matrix(fc: FilteredComplex) -> tuple[list[Simplex], list[int]]:
-    """Ordered simplices and their GF(2) boundary columns as bitmasks.
+def boundary_matrix(fc: FilteredComplex) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per dimension k, the filtration order and the boundary columns.
 
-    Validates that the filtration is closed under faces and monotone.
-    """
-    order = fc.sorted_items()
-    index = {simplex: i for i, (simplex, _) in enumerate(order)}
-    simplices = [simplex for simplex, _ in order]
-    columns: list[int] = []
-    for simplex, value in order:
-        col = 0
-        if len(simplex) > 1:
-            for drop in range(len(simplex)):
-                facet = simplex[:drop] + simplex[drop + 1 :]
-                try:
-                    fi = index[facet]
-                except KeyError:
-                    raise ValueError(
-                        f"complex not closed under faces: {simplex} lacks {facet}"
-                    ) from None
-                if fc.values[facet] > value:
-                    raise NonMonotone(
-                        f"{facet} enters at {fc.values[facet]}, after {simplex} at {value}"
-                    )
-                col |= 1 << fi
-        columns.append(col)
-    return simplices, columns
+    ``order[k]`` lists the indices of ``fc.cplx.rows[k]`` in filtration order;
+    row j of ``columns[k]`` holds the facet ranks of the j-th of them. Refuses
+    a filtration that is not closed under faces or not monotone."""
+    dim, index = fc.order()
+    order = [index[dim == k] for k in range(len(fc.levels))]
+    columns = [np.zeros((len(order[0]), 0), dtype=np.intp)] if order else []
+    for k in range(1, len(fc.levels)):
+        rows, below = fc.cplx.rows[k], fc.cplx.rows[k - 1]
+        facet = match(below, facets(rows)).reshape(len(rows), k + 1)
+        if (facet < 0).any():
+            i, drop = np.argwhere(facet < 0)[0]
+            simplex, lacks = tuple(rows[i].tolist()), tuple(np.delete(rows[i], drop).tolist())
+            raise ValueError(f"complex not closed under faces: {simplex} lacks {lacks}")
+        late = np.argwhere(fc.levels[k - 1][facet] > fc.levels[k][:, None])
+        if len(late):
+            i, f = late[0][0], facet[tuple(late[0])]
+            face, simplex = tuple(below[f].tolist()), tuple(rows[i].tolist())
+            value, after = fc.levels[k - 1][f], fc.levels[k][i]
+            raise NonMonotone(f"{face} enters at {value}, after {simplex} at {after}")
+        rank = np.empty(len(below), dtype=np.intp)
+        rank[order[k - 1]] = np.arange(len(below))
+        columns.append(rank[facet[order[k]]])
+    return order, columns
 
 
-def reduce_and_pair(columns: list[int]) -> tuple[list[int], dict[int, int]]:
-    """Left-to-right column reduction. Returns reduced columns and pivots.
-
-    The pivot map sends a row index to the column having that row as its
-    lowest nonzero entry.
-    """
-    reduced = list(columns)
-    pivot: dict[int, int] = {}
-    for j in range(len(reduced)):
-        col = reduced[j]
-        while col:
-            low = col.bit_length() - 1
-            owner = pivot.get(low)
-            if owner is None:
-                pivot[low] = j
-                break
-            col ^= reduced[owner]
-        reduced[j] = col
-    return reduced, pivot
+def reduce_and_pair(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Per dimension k, the (birth, death) rank pairs of the boundary columns:
+    a (k-1)-simplex creating a class and the k-simplex killing it."""
+    pairs = [np.zeros((0, 2), dtype=np.intp) for _ in columns]
+    for k in range(len(columns) - 1, 1, -1):
+        found, reduced = [], {}  # reduced: pivot -> reduced column
+        live = np.ones(len(columns[k]), dtype=bool)
+        if k + 1 < len(columns):
+            live[pairs[k + 1][:, 0]] = False  # cleared
+        for j, facet_ranks in zip(np.flatnonzero(live).tolist(), columns[k][live].tolist()):
+            col = 0
+            for r in facet_ranks:
+                col |= 1 << r
+            while col:
+                low = col.bit_length() - 1
+                if low not in reduced:
+                    reduced[low] = col
+                    found.append((low, j))
+                    break
+                col ^= reduced[low]
+        pairs[k] = np.array(found, dtype=np.intp).reshape(len(found), 2)
+    if len(columns) > 1:
+        # Union-find: a component is rooted at its oldest vertex, and an
+        # edge joining two components kills the younger root.
+        parent, found = list(range(len(columns[0]))), []
+        for j, (a, b) in enumerate(columns[1].tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                found.append((max(a, b), j))
+        pairs[1] = np.array(found, dtype=np.intp).reshape(len(found), 2)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -110,33 +131,20 @@ class PersistenceDiagram:
         out.sort(key=lambda iv: (iv.dim, iv.birth, iv.death))
         return out
 
-    def betti_at(self, radius: float, dim: int) -> int:
-        """Rank of homology in the given dimension at the given radius."""
-        return sum(
-            1
-            for iv in self.all_intervals
-            if iv.dim == dim and iv.birth <= radius < iv.death
-        )
-
 
 def persistence_diagram(fc: FilteredComplex) -> PersistenceDiagram:
     """Persistence diagram of a monotone filtration."""
-    simplices, columns = boundary_matrix(fc)
-    reduced, pivot = reduce_and_pair(columns)
-    values = [fc.values[s] for s in simplices]
+    order, columns = boundary_matrix(fc)
+    values = [levels[o] for levels, o in zip(fc.levels, order)]
+    essential = [np.ones(len(v), dtype=bool) for v in values]
     intervals = []
-    paired: set[int] = set()
-    for j, col in enumerate(reduced):
-        if col:
-            i = col.bit_length() - 1
-            paired.add(i)
-            paired.add(j)
-            intervals.append(
-                Interval(len(simplices[i]) - 1, values[i], values[j])
-            )
-    for j, col in enumerate(reduced):
-        if not col and j not in paired:
-            intervals.append(Interval(len(simplices[j]) - 1, values[j], math.inf))
+    for k, pairs in enumerate(reduce_and_pair(columns)[1:], 1):
+        birth, death = pairs.T
+        essential[k - 1][birth] = essential[k][death] = False
+        born, died = values[k - 1][birth].tolist(), values[k][death].tolist()
+        intervals += (Interval(k - 1, b, d) for b, d in zip(born, died))
+    for k, v in enumerate(values):
+        intervals += (Interval(k, b, math.inf) for b in v[essential[k]].tolist())
     return PersistenceDiagram(intervals)
 
 

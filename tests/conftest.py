@@ -5,11 +5,13 @@ library's fast paths, so the tests compare two independent routes.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from coupledalpha import PointCloudPair, relaxed_value
+from coupledalpha import PointCloudPair, coupled_alpha_infty, coupled_filtration, relaxed_value
+from coupledalpha.homology import Interval, PersistenceDiagram
 from coupledalpha.oracle import feasibility
 
 
@@ -138,7 +140,7 @@ def reference_walk(cplx):
             if k == 0:
                 values[simplex] = 0.0
                 continue
-            sol = relaxed_value(*pair.split_coords(simplex), eps)
+            sol = relaxed_value(*split_coords(pair, simplex), eps)
             min_coface, extras = pending.pop(simplex, [np.inf, []])
             passed = True
             for v in extras:
@@ -154,3 +156,103 @@ def reference_walk(cplx):
                 entry[0] = min(entry[0], value)
                 entry[1].append(simplex[drop])
     return values, gabriel
+
+
+def alpha_infty(points):
+    """The alpha complex of a single cloud: the pair with an empty second cloud."""
+    return coupled_alpha_infty(PointCloudPair(points, None, check=False))
+
+
+def alpha_filtration(points):
+    """Alpha filtration of a single cloud, the one-cloud case of the coupled one."""
+    return coupled_filtration(alpha_infty(points))
+
+
+def side(pair, index):
+    """'x' or 'y' depending on which cloud a global index names."""
+    if not 0 <= index < pair.n_total:
+        raise IndexError(f"vertex index {index} out of range")
+    return "x" if index < pair.n_x else "y"
+
+
+def split_coords(pair, simplex):
+    """Coordinates of a simplex's X vertices and of its Y vertices."""
+    qx, qy = pair.split(simplex)
+    return pair.points[list(qx)], pair.points[list(qy)]
+
+
+def max_value(fc):
+    return max(fc.values.values(), default=0.0)
+
+
+def at_radius(fc, radius):
+    """Simplices present at the given radius."""
+    return [s for s, v in fc.values.items() if v <= radius]
+
+
+def check_monotone(fc, tol=0.0):
+    """True iff every simplex's value is >= each of its facets' values."""
+    values = fc.values
+    for simplex, value in values.items():
+        if len(simplex) == 1:
+            continue
+        for drop in range(len(simplex)):
+            facet = simplex[:drop] + simplex[drop + 1 :]
+            if values[facet] > value + tol:
+                return False
+    return True
+
+
+def betti_at(dgm, radius, dim):
+    """Rank of homology in the given dimension at the given radius."""
+    return sum(
+        1 for iv in dgm.all_intervals if iv.dim == dim and iv.birth <= radius < iv.death
+    )
+
+
+def reference_order(fc):
+    """Simplices in filtration order: sorted by (value, dimension, vertex tuple)."""
+    return [s for s, _ in sorted(fc.values.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0]))]
+
+
+def reference_pairs(fc):
+    """Plain left-to-right GF(2) reduction over all simplices at once.
+
+    Columns are Python-int bitmasks over global filtration positions, and
+    each column is reduced by the earlier column with the same lowest
+    entry, with no clearing and no union-find. Returns the ordered
+    simplices and the (birth, death) position pairs.
+    """
+    simplices = reference_order(fc)
+    position = {s: i for i, s in enumerate(simplices)}
+    pivot, pairs = {}, []
+    for j, simplex in enumerate(simplices):
+        col = 0
+        if len(simplex) > 1:
+            for drop in range(len(simplex)):
+                col |= 1 << position[simplex[:drop] + simplex[drop + 1 :]]
+        while col:
+            low = col.bit_length() - 1
+            if low not in pivot:
+                pivot[low] = col
+                pairs.append((low, j))
+                break
+            col ^= pivot[low]
+    return simplices, pairs
+
+
+def reference_diagram(fc):
+    """Persistence diagram of ``fc`` by the plain reduction of ``reference_pairs``."""
+    simplices, pairs = reference_pairs(fc)
+    values = fc.values
+    paired = {i for pair in pairs for i in pair}
+    intervals = [
+        Interval(len(simplices[i]) - 1, values[simplices[i]], values[simplices[j]])
+        for i, j in pairs
+    ]
+    intervals += [
+        Interval(len(s) - 1, values[s], math.inf)
+        for i, s in enumerate(simplices)
+        if i not in paired
+    ]
+    return PersistenceDiagram(intervals)

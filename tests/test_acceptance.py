@@ -21,10 +21,17 @@ from coupledalpha import (
     scaling_experiment,
 )
 from coupledalpha.cli import main as cli_main
-from coupledalpha.filtration import alpha_filtration
 from coupledalpha.harness import doubling_ratios
 from coupledalpha.oracle import feasibility, value_by_bisection
-from conftest import minimize_relaxed, nerve_from_feasibility, random_pair
+from conftest import (
+    alpha_filtration,
+    at_radius,
+    betti_at,
+    max_value,
+    minimize_relaxed,
+    nerve_from_feasibility,
+    random_pair,
+)
 
 
 @pytest.fixture
@@ -92,8 +99,8 @@ def test_acceptance_3_pure_side_values_and_inclusion(report):
                 continue
             worst = max(worst, abs(coupled - value))
         ok = ok and worst <= 1e-9
-        for r in np.linspace(0.0, fa.max_value() * 1.05, 20):
-            if not set(fa.at_radius(float(r))) <= set(fc.at_radius(float(r))):
+        for r in np.linspace(0.0, max_value(fa) * 1.05, 20):
+            if not set(at_radius(fa, float(r))) <= set(at_radius(fc, float(r))):
                 ok = False
     report(
         ok,
@@ -112,7 +119,7 @@ def test_acceptance_4_bisection_certifies_values(report):
         pair = random_pair(rng)
         fc = coupled_filtration(coupled_alpha_infty(pair))
         candidates = sorted(s for s in fc.values if len(s) >= 2)
-        radius_max = fc.max_value() * 2.0 + 1.0
+        radius_max = max_value(fc) * 2.0 + 1.0
         take = min(10, len(candidates), 100 - checked)
         for idx in rng.permutation(len(candidates))[:take]:
             simplex = candidates[idx]
@@ -191,10 +198,10 @@ def test_acceptance_6_top_betti_numbers_vanish(report):
         probes = (
             [0.0]
             + [0.5 * (a + b) for a, b in zip(values, values[1:]) if b - a > 1e-9]
-            + [fc.max_value() * 1.1]
+            + [max_value(fc) * 1.1]
         )
         for r in probes:
-            ok = ok and dgm.betti_at(r, 2) == 0 and dgm.betti_at(r, 3) == 0
+            ok = ok and betti_at(dgm, r, 2) == 0 and betti_at(dgm, r, 3) == 0
     ok = ok and three_simplexes > 0
     report(
         ok,

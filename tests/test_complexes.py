@@ -10,18 +10,17 @@ from coupledalpha import (
     coupled_alpha_infty,
     lift_clouds,
 )
-from coupledalpha.complexes import alpha_infty
 from coupledalpha.oracle import feasibility, feasibility_witness
-from conftest import nerve_from_feasibility, random_pair
+from conftest import alpha_infty, nerve_from_feasibility, random_pair, side, split_coords
 
 
 def test_pair_indexing_and_splits():
     pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[0.5, 1.0]], check=False)
     assert (pair.n_x, pair.n_y, pair.n_total) == (2, 1, 3)
-    assert pair.side(0) == "x" and pair.side(2) == "y"
+    assert side(pair, 0) == "x" and side(pair, 2) == "y"
     qx, qy = pair.split((0, 2))
     assert qx == (0,) and qy == (2,)
-    cx, cy = pair.split_coords((0, 2))
+    cx, cy = split_coords(pair, (0, 2))
     assert np.array_equal(cx, [[0.0, 0.0]]) and np.array_equal(cy, [[0.5, 1.0]])
     assert pair.dim == 2
 

@@ -7,18 +7,21 @@ from scipy.spatial import Delaunay
 from coupledalpha import (
     AmbiguousTriangulation,
     DegenerateInput,
+    PointCloudPair,
+    coupled_alpha_infty,
     delaunay_incremental,
     lift_clouds,
 )
 from coupledalpha.complexes import _closure
 from coupledalpha.delaunay import _bowyer_watson, _verify_delaunay, delaunay_bruteforce
-from coupledalpha.geometry import EPS
+from coupledalpha.geometry import EPS, _hull_coordinates
 
 
 def test_single_triangle():
     tri = delaunay_incremental([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert tri.cells == ((0, 1, 2),)
-    assert _closure(tri.cells, 3) == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}
+    rows = _closure(np.array(tri.cells), 3)
+    assert [r.tolist() for r in rows] == [[[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]]
 
 
 def test_two_routes_agree_random(rng):
@@ -88,6 +91,20 @@ def test_lower_dimensional_input_uses_hull_coordinates():
     tri = delaunay_incremental(pts)
     assert tri.cells == ((0, 2), (1, 2), (1, 3))
     assert delaunay_bruteforce(pts).cells == tri.cells
+
+
+def test_close_points_far_from_the_origin_span_an_edge():
+    # 1.8e-4 apart near (1e3, 1e3): centring leaves round-off of about
+    # 1e-13 across the edge (singular value 2.5e-14), which is no second
+    # dimension of the affine hull.
+    x = np.array(
+        [[1000.005390565905, 1000.0015377939134], [1000.0053346940405, 1000.0013646485072]]
+    )
+    assert _hull_coordinates(x)[1] == 1
+    assert delaunay_incremental(x).cells == ((0, 1),)
+    for x_side, y_side in ((x, None), (np.zeros((0, 2)), x)):
+        cplx = coupled_alpha_infty(PointCloudPair(x_side, y_side, check=False))
+        assert cplx.simplices == ((0,), (1,), (0, 1))
 
 
 def test_single_point_and_empty():

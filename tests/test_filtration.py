@@ -11,18 +11,26 @@ from coupledalpha import (
     coupled_filtration,
     relaxed_value,
 )
+from coupledalpha._rows import facets, match, unique
 from coupledalpha.filtration import (
     CIRCUMSPHERE,
     X_DOMINANT,
     Y_DOMINANT,
     DimensionOverflow,
-    _facets,
     _gabriel_walk,
     _relaxed_batch,
-    alpha_filtration,
 )
 from coupledalpha.geometry import RankDeficient
-from conftest import minimize_relaxed, random_pair, reference_walk
+from conftest import (
+    alpha_filtration,
+    at_radius,
+    check_monotone,
+    max_value,
+    minimize_relaxed,
+    random_pair,
+    reference_walk,
+    split_coords,
+)
 
 # Worked fixtures: (X vertices, Y vertices, case, radius, center).
 FIXTURES = [
@@ -114,7 +122,7 @@ def test_vertices_are_zero_and_values_monotone(rng):
     for _ in range(6):
         pair = random_pair(rng)
         fc = coupled_filtration(coupled_alpha_infty(pair))
-        assert fc.check_monotone(tol=0.0)
+        assert check_monotone(fc, tol=0.0)
         for simplex, value in fc.sorted_items():
             if len(simplex) == 1:
                 assert value == 0.0
@@ -125,10 +133,10 @@ def test_vertices_are_zero_and_values_monotone(rng):
 def test_at_radius_nested(rng):
     pair = random_pair(rng)
     fc = coupled_filtration(coupled_alpha_infty(pair))
-    top = fc.max_value()
+    top = max_value(fc)
     previous = set()
     for r in np.linspace(0.0, top * 1.01, 12):
-        current = set(fc.at_radius(r))
+        current = set(at_radius(fc, r))
         assert previous <= current
         previous = current
     assert len(previous) == len(fc.values)
@@ -201,7 +209,7 @@ def test_batched_relaxed_values_match_scalar():
             rows = np.array(simplices)
             center, radius_x, radius_y = _relaxed_batch(pair.points, pair.n_x, rows, pair.eps)
             for i, simplex in enumerate(simplices):
-                ref = relaxed_value(*pair.split_coords(simplex), pair.eps)
+                ref = relaxed_value(*split_coords(pair, simplex), pair.eps)
                 qx, qy = pair.split(simplex)
                 types.add((len(qx), len(qy)))
                 cases.add(ref.case)
@@ -222,9 +230,9 @@ def test_coupled_filtration_matches_reference_walk():
         for simplex, value in values.items():
             assert value == pytest.approx(ref_values[simplex], rel=1e-12, abs=0.0)
         gabriel = {}
-        for simplices, _, passed in _gabriel_walk(cplx):
-            if len(simplices[0]) > 1:
-                gabriel.update(zip(simplices, passed.tolist()))
+        for rows, _, passed in _gabriel_walk(cplx):
+            if rows.shape[1] > 1:
+                gabriel.update(zip(map(tuple, rows.tolist()), passed.tolist()))
         assert gabriel == ref_gabriel
         assert not all(gabriel.values())  # some simplices inherit
 
@@ -233,17 +241,19 @@ def test_facet_lookup_takes_indices_beyond_packed_keys():
     # Eight vertex indices near 2**40 would overflow a key packed into int64.
     big = 2**40
     coface = np.array([[big + 3 * i for i in range(8)]])
-    facets = np.array([np.delete(coface[0], j) for j in range(8)])
-    order = np.lexsort(facets.T[::-1])
-    rows = facets[order]
-    facet, extra, value = _facets(rows, coface, np.array([2.5]))
-    for f, e in zip(facet, extra):
-        assert sorted(rows[f].tolist() + [int(e)]) == coface[0].tolist()
+    queries = facets(coface)
+    for j, extra in enumerate(coface[0].tolist()):
+        assert sorted(queries[j].tolist() + [extra]) == coface[0].tolist()
+    rows, counts = unique(queries)
+    assert counts.tolist() == [1] * 8
+    facet = match(rows, queries)
+    assert (rows[facet] == queries).all()
     assert sorted(facet.tolist()) == list(range(8))
-    assert value.tolist() == [2.5] * 8
-    # A facet missing from the rows is skipped rather than misassigned.
-    facet, extra, _ = _facets(rows[1:], coface, np.array([2.5]))
-    assert sorted(facet.tolist()) == list(range(7))
+    # A facet missing from the rows is reported as -1 rather than misassigned.
+    facet = match(rows[1:], queries)
+    assert (facet == -1).sum() == 1
+    assert sorted(facet[facet >= 0].tolist()) == list(range(7))
+    assert (rows[1:][facet[facet >= 0]] == queries[facet >= 0]).all()
 
 
 def test_pure_radius_is_not_rounded_to_the_coordinates():

@@ -1,6 +1,9 @@
 """Persistence: boundary reduction, diagrams, Betti numbers, known shapes."""
 
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +17,17 @@ from coupledalpha import (
     persistence_diagram,
     reduce_and_pair,
 )
-from coupledalpha.filtration import FilteredComplex, alpha_filtration
-from coupledalpha.homology import NonMonotone, diagram_discrepancy
-from conftest import random_pair
+from coupledalpha.filtration import FilteredComplex
+from coupledalpha.homology import Interval, NonMonotone, diagram_discrepancy
+from conftest import (
+    alpha_filtration,
+    betti_at,
+    max_value,
+    random_pair,
+    reference_diagram,
+    reference_order,
+    reference_pairs,
+)
 
 TRIANGLE = FilteredComplex(
     {
@@ -31,21 +42,30 @@ TRIANGLE = FilteredComplex(
 )
 
 
+def _ordered(fc, order):
+    """Per dimension, the simplices of ``fc`` as tuples in the order ``order``."""
+    return [[tuple(r) for r in rows[o].tolist()] for rows, o in zip(fc.cplx.rows, order)]
+
+
 def test_boundary_matrix_squares_to_zero(rng):
     pair = random_pair(rng)
     fc = coupled_filtration(coupled_alpha_infty(pair))
-    simplices, columns = boundary_matrix(fc)
-    position = {s: i for i, s in enumerate(simplices)}
-    for simplex, column in zip(simplices, columns):
-        acc = 0
-        bits = column
-        while bits:
-            low = bits & -bits
-            acc ^= columns[low.bit_length() - 1]
-            bits ^= low
-        assert acc == 0, f"boundary of boundary nonzero at {simplex}"
-        # Column bits sit strictly below the simplex's own position.
-        assert column < (1 << position[simplex])
+    order, columns = boundary_matrix(fc)
+    simplices = _ordered(fc, order)
+    position = {s: i for i, s in enumerate(reference_order(fc))}
+    for k in range(1, len(columns)):
+        for simplex, facet_ranks in zip(simplices[k], columns[k].tolist()):
+            assert sorted(simplices[k - 1][r] for r in facet_ranks) == sorted(
+                simplex[:drop] + simplex[drop + 1 :] for drop in range(len(simplex))
+            )
+            # Facets sit strictly before the simplex in the filtration order.
+            assert all(position[simplices[k - 1][r]] < position[simplex] for r in facet_ranks)
+            if k >= 2:
+                acc = 0
+                for r in facet_ranks:
+                    for rr in columns[k - 1][r].tolist():
+                        acc ^= 1 << rr
+                assert acc == 0, f"boundary of boundary nonzero at {simplex}"
 
 
 def test_boundary_matrix_requires_closure():
@@ -60,13 +80,105 @@ def test_boundary_matrix_requires_monotone():
         )
 
 
-def test_reduce_and_pair_pivots_unique():
-    fc = TRIANGLE
-    _, columns = boundary_matrix(fc)
-    reduced, pivots = reduce_and_pair(columns)
-    lows = [c.bit_length() - 1 for c in reduced if c]
-    assert len(lows) == len(set(lows))
-    assert set(pivots.values()) <= set(range(len(columns)))
+def test_reduce_and_pair_pivots_unique(rng):
+    for fc in (TRIANGLE, coupled_filtration(coupled_alpha_infty(random_pair(rng, dim=3)))):
+        _, columns = boundary_matrix(fc)
+        pairs = reduce_and_pair(columns)
+        for k in range(1, len(columns)):
+            births, deaths = pairs[k].T.tolist()
+            assert len(births) == len(set(births)) and len(deaths) == len(set(deaths))
+            assert set(births) <= set(range(len(columns[k - 1])))
+            assert set(deaths) <= set(range(len(columns[k])))
+            # A simplex either creates a class or kills one, never both.
+            if k + 1 < len(columns):
+                assert not set(deaths) & set(pairs[k + 1][:, 0].tolist())
+
+
+def _simplex_pairs(fc):
+    """Persistence pairs as (birth simplex, death simplex), from the fast path."""
+    order, columns = boundary_matrix(fc)
+    simplices = _ordered(fc, order)
+    return {
+        (simplices[k - 1][b], simplices[k][d])
+        for k, pairs in enumerate(reduce_and_pair(columns))
+        for b, d in pairs.tolist()
+    }
+
+
+def _tied_filtrations():
+    """Hand-built filtrations with many values tied within and across dimensions."""
+    out = [TRIANGLE]
+    # A solid tetrahedron on two levels: vertices and edges at 0, the rest at 1.
+    faces = [s for size in range(1, 5) for s in itertools.combinations(range(4), size)]
+    out.append(FilteredComplex({s: float(len(s) // 2) for s in faces}))
+    # Every simplex of a 6-vertex 2-skeleton plus some tetrahedra on three levels.
+    rng = np.random.default_rng(11)
+    levels = [0.0, 1.0, 2.0]
+    values = {(v,): 0.0 for v in range(6)}
+    for size in (2, 3, 4):
+        for s in itertools.combinations(range(6), size):
+            if size == 4 and rng.random() < 0.6:
+                continue
+            floor = max(values[s[:d] + s[d + 1 :]] for d in range(size))
+            values[s] = max(floor, float(rng.choice(levels)))
+    out.append(FilteredComplex(values))
+    # All values equal: every pair is zero-length.
+    out.append(FilteredComplex({s: 0.5 for s in values}))
+    return out
+
+
+def _edge_cases():
+    return [
+        FilteredComplex({}),
+        FilteredComplex({(0,): 0.0}),
+        FilteredComplex({(0,): 0.0, (1,): 0.25, (0, 1): 1.0}),
+        FilteredComplex({(0,): 0.0, (1,): 0.0, (2,): 0.5}),  # no edges
+    ]
+
+
+def test_diagrams_match_the_plain_reduction():
+    seeded = np.random.default_rng(606)
+    fcs = _tied_filtrations() + _edge_cases()
+    for dim in (2, 3):
+        for _ in range(3):
+            pair = random_pair(seeded, dim=dim, max_x=9, max_y=9)
+            fcs.append(coupled_filtration(coupled_alpha_infty(pair)))
+    fcs.append(alpha_filtration(seeded.random((25, 2))))
+    fcs.append(alpha_filtration(seeded.random((20, 3))))
+    for fc in fcs:
+        fast = Counter(persistence_diagram(fc).all_intervals)
+        assert fast == Counter(reference_diagram(fc).all_intervals)
+        simplices, pairs = reference_pairs(fc)
+        assert _simplex_pairs(fc) == {(simplices[i], simplices[j]) for i, j in pairs}
+    assert not persistence_diagram(FilteredComplex({})).all_intervals
+    one_vertex = persistence_diagram(FilteredComplex({(0,): 0.0}))
+    assert one_vertex.all_intervals == [Interval(0, 0.0, math.inf)]
+
+
+def test_filtration_order_breaks_ties_by_dimension_then_vertices():
+    for fc in _tied_filtrations():
+        dim, index = fc.order()
+        got = [tuple(fc.cplx.rows[k][i].tolist()) for k, i in zip(dim.tolist(), index.tolist())]
+        assert got == reference_order(fc)
+        assert [s for s, _ in fc.sorted_items()] == got
+        order, _ = boundary_matrix(fc)
+        assert sum(_ordered(fc, order), []) == sorted(got, key=len)
+
+
+def test_persistence_memory_follows_the_nonzeros():
+    # A seeded d=3 100+100 pair of about 18,000 simplices. Bitmask columns as
+    # wide as each simplex's filtration position peak at 22 MiB here; facet
+    # index arrays, and bitmasks over ranks for reduced columns only, at 4 MiB.
+    rng = np.random.default_rng(5)
+    pair = PointCloudPair(rng.random((100, 3)), rng.random((100, 3)), check=False)
+    fc = coupled_filtration(coupled_alpha_infty(pair))
+    tracemalloc.start()
+    try:
+        persistence_diagram(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_triangle_diagram_by_hand():
@@ -91,11 +203,11 @@ def test_hollow_triangle_h1_never_dies():
 
 def test_betti_conventions_half_open():
     dgm = persistence_diagram(TRIANGLE)
-    assert dgm.betti_at(0.0, 0) == 3
-    assert dgm.betti_at(1.0, 0) == 2  # half-open: dead at its death value
-    assert dgm.betti_at(3.0, 1) == 1
-    assert dgm.betti_at(4.0, 1) == 0
-    assert dgm.betti_at(10.0, 0) == 1
+    assert betti_at(dgm, 0.0, 0) == 3
+    assert betti_at(dgm, 1.0, 0) == 2  # half-open: dead at its death value
+    assert betti_at(dgm, 3.0, 1) == 1
+    assert betti_at(dgm, 4.0, 1) == 0
+    assert betti_at(dgm, 10.0, 0) == 1
 
 
 def test_euler_characteristic_identity(rng):
@@ -105,14 +217,14 @@ def test_euler_characteristic_identity(rng):
     dgm = persistence_diagram(fc)
     values = sorted({v for v in fc.values.values()})
     probes = [0.0] + [0.5 * (a + b) for a, b in zip(values, values[1:])] + [
-        fc.max_value() * 1.1
+        max_value(fc) * 1.1
     ]
     for r in probes:
         euler_cells = sum(
             (-1) ** (len(s) - 1) for s, v in fc.values.items() if v <= r
         )
         euler_betti = sum(
-            (-1) ** k * dgm.betti_at(r, k) for k in range(pair.dim + 2)
+            (-1) ** k * betti_at(dgm, r, k) for k in range(pair.dim + 2)
         )
         assert euler_cells == euler_betti
 
@@ -122,9 +234,9 @@ def test_top_dimensions_vanish(rng):
         pair = random_pair(rng, max_x=6, max_y=6)
         fc = coupled_filtration(coupled_alpha_infty(pair))
         dgm = persistence_diagram(fc)
-        for r in np.linspace(0.0, fc.max_value() * 1.05, 9):
-            assert dgm.betti_at(float(r), pair.dim) == 0
-            assert dgm.betti_at(float(r), pair.dim + 1) == 0
+        for r in np.linspace(0.0, max_value(fc) * 1.05, 9):
+            assert betti_at(dgm, float(r), pair.dim) == 0
+            assert betti_at(dgm, float(r), pair.dim + 1) == 0
 
 
 def test_octagon_single_h1_interval():

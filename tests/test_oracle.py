@@ -21,7 +21,7 @@ from coupledalpha.oracle import (
     feasibility_witness,
     value_by_bisection,
 )
-from conftest import random_pair
+from conftest import check_monotone, random_pair
 
 
 def witness_violation(simplex, pair, radius, z):
@@ -125,7 +125,7 @@ def test_cech_values_are_enclosing_radii(rng):
         # Values are maxed with faces, so direct radius can only be lower.
         assert value >= direct - 1e-12
         assert value == pytest.approx(direct, abs=1e-9)
-    assert fc.check_monotone(tol=0.0)
+    assert check_monotone(fc, tol=0.0)
 
 
 def test_cech_dimension_bound_and_cap():
