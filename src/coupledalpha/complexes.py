@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rows import facets, unique
+from ._rows import facets, match, unique
 from .delaunay import delaunay_incremental
 from .geometry import (
     EPS,
@@ -95,6 +95,8 @@ class CoupledComplex:
     global vertex indices, distinct and in lexicographic order (built from
     sorted tuples unless given). ``simplices`` and ``by_dim`` list them as
     tuples in (dimension, lexicographic) order, each made once on demand.
+    ``facet_index(k)`` locates the facets of the k-simplices among the
+    (k-1)-simplices, once per dimension for every layer that needs it.
     """
 
     def __init__(self, pair: PointCloudPair | None, simplices=(), rows=None):
@@ -106,6 +108,7 @@ class CoupledComplex:
             rows = [np.array(g, dtype=np.int64).reshape(-1, k + 1) for k, g in enumerate(groups)]
         self.rows: list[np.ndarray] = rows
         self._tuples: list[list[Simplex]] | None = None
+        self._facet_index: dict[int, np.ndarray] = {}
 
     @property
     def simplices(self) -> tuple[Simplex, ...]:
@@ -129,6 +132,14 @@ class CoupledComplex:
     def counts(self) -> tuple[int, ...]:
         """Number of simplices per dimension, from 0 up."""
         return tuple(len(r) for r in self.rows)
+
+    def facet_index(self, k: int) -> np.ndarray:
+        """(m_k, k+1) array: entry (i, j) is the position in ``rows[k-1]`` of
+        ``rows[k][i]`` without its vertex j, or -1 if that facet is absent."""
+        if k not in self._facet_index:
+            rows = self.rows[k]
+            self._facet_index[k] = match(self.rows[k - 1], facets(rows)).reshape(len(rows), k + 1)
+        return self._facet_index[k]
 
 
 def _closure(cells: np.ndarray, n_vertices: int) -> list[np.ndarray]:

@@ -17,7 +17,9 @@ cells. Each insertion is array work on its whole cavity: the boundary
 facets come from one sorted row match over the conflicting cells, the new
 cells get their circumspheres from stacked bisector solves (one for the
 finite cells, one for the cells at infinity), and the new cells at
-infinity their hull planes from one stacked SVD.
+infinity their hull planes from one stacked complete QR. New cells take
+the rows of the cells the insertion killed before any new row, so the
+conflict scan reads about as many rows as there are live cells.
 The result is verified post hoc from the spheres and planes the insertion
 stored, as array checks over blocks of cells: every facet is shared by
 exactly two cells, every point lies inside every hull plane, and every
@@ -132,7 +134,9 @@ class _CellStore:
     circumsphere of its finite vertices (center, squared radius) and a
     unit outward normal with offset. Finite cells get normal 0 and offset
     0, so their side is always 0; dead rows get squared radius -inf, so
-    they never conflict.
+    they never conflict. ``kill`` lists dead rows in ``free``, and ``add``
+    refills them before it appends, so ``count``, the rows ever used,
+    follows the live cells rather than every cell ever made.
 
     A point p conflicts with a row when ``side > tol``, or when
     ``|side| <= tol`` and p lies strictly inside the sphere. For a finite
@@ -154,10 +158,11 @@ class _CellStore:
         self.radii2 = np.full(capacity, -np.inf)
         self.normals = np.zeros((capacity, m))
         self.offsets = np.zeros(capacity)
-        self.count = 0
+        self.count = 0  # rows ever used; the dead ones among them are listed in free
+        self.free: list[int] = []
 
     def add(self, cells: np.ndarray) -> None:
-        """Append a (g, m+1) block of sorted cells with their spheres and planes."""
+        """Store a (g, m+1) block of sorted cells with their spheres and planes."""
         g, m = cells.shape[0], self.coords.shape[1]
         hull = cells[:, 0] == -1
         centers = np.empty((g, m))
@@ -174,21 +179,25 @@ class _CellStore:
             if infinite:
                 normals[sel], offsets[sel] = self._hull_planes(cells[sel], pts)
 
-        if self.count + g > len(self.verts):
+        # Refill the most recently killed rows first, then append.
+        cut = max(len(self.free) - g, 0)
+        reused, self.free = self.free[cut:], self.free[:cut]
+        fresh = g - len(reused)
+        if self.count + fresh > len(self.verts):
             # Double, or more when one block outgrows a doubling.
-            grow = max(len(self.verts), self.count + g - len(self.verts))
+            grow = max(len(self.verts), self.count + fresh - len(self.verts))
             for name in ("verts", "centers", "radii2", "normals", "offsets"):
                 arr = getattr(self, name)
                 pad = np.zeros((grow,) + arr.shape[1:], dtype=arr.dtype)
                 setattr(self, name, np.concatenate([arr, pad]))
             self.radii2[self.count :] = -np.inf
-        rows = slice(self.count, self.count + g)
+        rows = np.concatenate([np.array(reused, dtype=np.intp), self.count + np.arange(fresh)])
         self.verts[rows] = cells
         self.centers[rows] = centers
         self.radii2[rows] = radii2
         self.normals[rows] = normals
         self.offsets[rows] = offsets
-        self.count += g
+        self.count += fresh
 
     def _circumcenters(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Circumcenters of the point rows ``pts`` (h, k, m), in one stacked solve."""
@@ -210,7 +219,10 @@ class _CellStore:
         if pts.shape[2] == 1:
             normals = np.ones((len(pts), 1))
         else:
-            normals = np.linalg.svd(pts[:, 1:] - pts[:, :1], full_matrices=True)[2][:, -1]
+            # The m-1 edges span the facet's hyperplane; the last column of a
+            # complete QR of them as columns is a unit vector normal to it.
+            edges = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+            normals = np.linalg.qr(edges, mode="complete")[0][:, :, -1]
         ref = np.einsum("ij,ij->i", normals, self.interior - pts[:, 0])
         flat = np.abs(ref) <= self.side_tol
         if flat.any():
@@ -225,6 +237,7 @@ class _CellStore:
         self.radii2[rows] = -np.inf
         self.normals[rows] = 0.0
         self.offsets[rows] = 0.0
+        self.free.extend(np.asarray(rows).tolist())
 
     def conflicts(self, p: np.ndarray) -> np.ndarray:
         k = self.count

@@ -22,9 +22,10 @@ a common point. Values are computed top-down:
   and the open Y ball its Y vertices. For a pure simplex this
   degenerates to the classical one-ball Gabriel test against its own
   cloud. It runs as array comparisons over (facet, coface) rows, one per
-  dropped vertex of each coface, found by one sorted row match. A simplex
-  that passes against every coface keeps its relaxed value, anything else
-  inherits the minimum over its cofaces, scattered with ``np.minimum.at``.
+  dropped vertex of each coface, read from the complex's ``facet_index``
+  (which the boundary matrix reads too). A simplex that passes against
+  every coface keeps its relaxed value, anything else inherits the
+  minimum over its cofaces, scattered with ``np.minimum.at``.
 
 Vertices get value 0 and values are monotone along face inclusions by
 construction. A simplex without cofaces starts from ``math.inf``, the
@@ -40,7 +41,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rows import facets, match
 from .complexes import CoupledComplex, Simplex
 from .geometry import EPS, GeometryError, _bisector_point, _bisector_points, as_point_array
 
@@ -206,7 +206,7 @@ def _gabriel_walk(cplx: CoupledComplex):
             # Facet j of a coface drops its vertex j; facets absent from the
             # complex are skipped.
             cofaces, coface_value = above
-            facet = match(rows, facets(cofaces))
+            facet = cplx.facet_index(k + 1).ravel()
             found = facet >= 0
             facet, extra = facet[found], cofaces.ravel()[found]
             np.minimum.at(min_coface, facet, np.repeat(coface_value, k + 2)[found])

@@ -7,6 +7,9 @@ shape ``(n, d)``.
 
 There is no exact arithmetic. Predicates share one absolute/relative
 tolerance ``EPS``; rank decisions use the tighter ``RANK_RCOND`` cutoff.
+Stacked bisector systems are solved by LU or QR, and a condition-number
+certificate decides which solutions stand; only the rest pay for the SVD
+that makes the rank decision (``_bisector_points``).
 Inputs closer than the tolerance to a degenerate configuration are
 rejected with an error rather than silently perturbed -- ``jitter`` is
 the explicit way out for callers that want perturbation.
@@ -117,30 +120,77 @@ def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = E
 
     ``u`` and ``v`` have shape (g, m, d) (``u`` may be (g, 1, d)); ``p`` is
     (g, d), or (t, g, d) for t anchor points that share the bisector rows
-    and so one stacked SVD. The residual is formed from differences to
-    ``p`` exactly as in the scalar solver, and lstsq's rules are kept:
-    singular values at most ``RANK_RCOND`` times the largest count as
-    zero, a rank below min(m, d) raises RankDeficient, and so does an
-    overdetermined system (m > d) inconsistent beyond ``eps (1 + max|r|)``.
+    and so one factorization. The residual is formed from differences to
+    ``p`` exactly as in the scalar solver. Each block is solved by one
+    stacked LAPACK call (``_certified_solve``): an LU inverse of a square
+    system, else a QR factorization, with a certificate that the system is
+    far from rank loss. The rows without one go through the SVD of
+    ``_svd_solve``, which keeps lstsq's rules: singular values at most
+    ``RANK_RCOND`` times the largest count as zero, and a rank below
+    min(m, d) raises RankDeficient. An overdetermined system (m > d)
+    inconsistent beyond ``eps (1 + max|r|)`` raises too.
     """
     a = v - u
     if a.shape[-2] == 0:
         return np.array(p, dtype=float)
     anchor = p[..., None, :]
     r = 0.5 * np.einsum("...ij,...ij->...i", a, (v - anchor) + (u - anchor))
-    left, s, right = np.linalg.svd(a, full_matrices=False)
-    # The system is full-rank when every singular value survives the cutoff;
-    # then the minimum-norm solution uses all of them.
-    if (s <= RANK_RCOND * s[:, :1]).any():
-        rank = int((s > RANK_RCOND * s[:, :1]).sum(axis=1).min())
-        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {s.shape[1]})")
-    sol = np.einsum("gqj,...gq->...gj", right, np.einsum("giq,...gi->...gq", left, r) / s)
+    sol, certified = _certified_solve(a, r)
+    if not certified.all():
+        doubtful = ~certified
+        sol[..., doubtful, :] = _svd_solve(a[doubtful], r[..., doubtful, :])
     if a.shape[-2] > a.shape[-1]:
         scale = 1.0 + np.abs(r).max(axis=-1)
         off = np.abs(np.einsum("gij,...gj->...gi", a, sol) - r).max(axis=-1)
         if (off > eps * scale).any():
             raise RankDeficient("bisector system has no common solution")
     return p + sol
+
+
+def _certified_solve(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares, minimum-norm solutions of ``a[i] x = r[..., i, :]``, and which to trust.
+
+    A square block is inverted by LU. Otherwise, with m rows and d columns,
+    ``a^T = Q R`` gives the minimum-norm ``Q R^-T r`` (m < d) and ``a = Q R``
+    the least-squares ``R^-1 Q^T r`` (m > d), R inverted by LU. System i
+    is certified when ``||R||_F ||R^-1||_F < 1e-2 / RANK_RCOND`` (R = a for
+    a square block): that bounds the 2-norm condition number, so the SVD
+    would find every singular value above its cutoff with 100x to spare,
+    the margin covering the round-off of the factorization. Nothing is
+    certified when LU meets an exact zero pivot.
+    """
+    m, d = a.shape[-2:]
+    if m == d:
+        base = a
+    elif m < d:
+        q, base = np.linalg.qr(np.swapaxes(a, -1, -2))
+    else:
+        q, base = np.linalg.qr(a)
+    try:
+        inv = np.linalg.inv(base)
+    except np.linalg.LinAlgError:
+        return np.empty(r.shape[:-1] + (d,)), np.zeros(len(a), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Squared Frobenius norms; an overflow or nan leaves the row uncertified.
+        cond2 = np.einsum("gij,gij->g", base, base) * np.einsum("gij,gij->g", inv, inv)
+        if m == d:
+            sol = np.einsum("gij,...gj->...gi", inv, r)
+        elif m < d:
+            sol = np.einsum("gij,...gj->...gi", q, np.einsum("gji,...gj->...gi", inv, r))
+        else:
+            sol = np.einsum("gij,...gj->...gi", inv, np.einsum("gji,...gj->...gi", q, r))
+    return sol, cond2 < (1e-2 / RANK_RCOND) ** 2
+
+
+def _svd_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions by SVD with lstsq's rank rule; RankDeficient if any row lost rank."""
+    left, s, right = np.linalg.svd(a, full_matrices=False)
+    # The system is full-rank when every singular value survives the cutoff;
+    # then the minimum-norm solution uses all of them.
+    if (s <= RANK_RCOND * s[:, :1]).any():
+        rank = int((s > RANK_RCOND * s[:, :1]).sum(axis=1).min())
+        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {s.shape[1]})")
+    return np.einsum("gqj,...gq->...gj", right, np.einsum("giq,...gi->...gq", left, r) / s)
 
 
 def _circumsphere(points: np.ndarray, eps: float = EPS) -> Sphere | None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rows import facets, match
 from .filtration import FilteredComplex
 
 
@@ -37,7 +36,7 @@ def boundary_matrix(fc: FilteredComplex) -> tuple[list[np.ndarray], list[np.ndar
     columns = [np.zeros((len(order[0]), 0), dtype=np.intp)] if order else []
     for k in range(1, len(fc.levels)):
         rows, below = fc.cplx.rows[k], fc.cplx.rows[k - 1]
-        facet = match(below, facets(rows)).reshape(len(rows), k + 1)
+        facet = fc.cplx.facet_index(k)
         if (facet < 0).any():
             i, drop = np.argwhere(facet < 0)[0]
             simplex, lacks = tuple(rows[i].tolist()), tuple(np.delete(rows[i], drop).tolist())

@@ -13,7 +13,7 @@ from coupledalpha import (
     lift_clouds,
 )
 from coupledalpha.complexes import _closure
-from coupledalpha.delaunay import _bowyer_watson, _verify_delaunay, delaunay_bruteforce
+from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay, delaunay_bruteforce
 from coupledalpha.geometry import EPS, _hull_coordinates
 
 
@@ -126,6 +126,34 @@ def test_lifted_pairs_match_qhull(dim, n):
     assert delaunay_incremental(lifted).cells == expected
 
 
+def test_lifted_pair_matches_qhull_at_2000_per_cloud():
+    rng = np.random.default_rng(7)
+    lifted = lift_clouds(rng.random((2000, 2)), rng.random((2000, 2)))
+    qhull = Delaunay(lifted - lifted.mean(axis=0))
+    expected = tuple(sorted(tuple(sorted(int(v) for v in s)) for s in qhull.simplices))
+    assert delaunay_incremental(lifted).cells == expected
+
+
+def test_store_reuses_dead_rows(monkeypatch):
+    # Each insertion kills its cavity and fills the freed rows first, so the
+    # rows ever used exceed the live cells by at most one cavity.
+    cavities = []
+    kill = _CellStore.kill
+
+    def counted_kill(self, rows):
+        cavities.append(len(rows))
+        kill(self, rows)
+
+    monkeypatch.setattr(_CellStore, "kill", counted_kill)
+    rng = np.random.default_rng(5)
+    lifted = lift_clouds(rng.random((200, 3)), rng.random((200, 3)))
+    store = _bowyer_watson(lifted, EPS)
+    live = len(store.live())
+    assert live <= store.count <= live + max(cavities)
+    assert store.count - live == len(store.free)
+    assert sum(cavities) > 2 * store.count  # without reuse, count would be live + sum(cavities)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_row_permutation_invariance(dim):
     # Permuting the rows changes which point the seeded order inserts when,
@@ -152,13 +180,22 @@ def test_insertion_refuses_an_inconsistent_cavity():
         delaunay_incremental(_scaled_lifted_pair(189, 20, 2, 1e-6))
 
 
-def test_insertion_refuses_an_affinely_degenerate_cell():
+def test_insertion_refuses_a_lifted_pair_at_scale_1e6():
     # At scale 1e6 the unit lift height is tiny against the clouds' extent,
-    # so the cells spanning both heights have huge, imprecise spheres; a
-    # cavity takes a hull facet in the plane of X without the cell behind
-    # it, and the new cell lies flat in that plane.
-    with pytest.raises(AmbiguousTriangulation, match="cell .* is affinely degenerate"):
+    # so the cells spanning both heights have huge, imprecise spheres, and
+    # the absolute tolerances cannot tell them apart. Which check refuses
+    # first depends on the rounding of those spheres.
+    with pytest.raises(AmbiguousTriangulation):
         delaunay_incremental(_scaled_lifted_pair(175, 40, 2, 1e6))
+
+
+def test_store_refuses_an_affinely_degenerate_cell():
+    # Points 0, 1 and 2 are collinear, so cell (0, 1, 2) has no circumcircle;
+    # it is named even when a sound cell comes in the same block.
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.0]])
+    store = _CellStore(coords, coords.mean(axis=0), EPS)
+    with pytest.raises(AmbiguousTriangulation, match=r"cell \(0, 1, 2\) is affinely degenerate"):
+        store.add(np.array([[0, 1, 3], [0, 1, 2]]))
 
 
 def _triangulated_store():

@@ -12,7 +12,9 @@ from coupledalpha.geometry import (
     _affine_rank,
     _bisector_point,
     _bisector_points,
+    _certified_solve,
     _circumsphere,
+    _svd_solve,
     as_point_array,
     check_coupled_general_position,
     diameter,
@@ -155,6 +157,74 @@ def test_stacked_bisector_points_refuse_like_the_scalar_solver():
     pts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]]])
     with pytest.raises(RankDeficient, match="no common solution"):
         _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+
+
+def _graded_rows(rng, m, d, ratio):
+    """Bisector rows ``u, u + a`` in R^d, where the m rows of ``a`` are a random
+    orthonormal frame scaled to lengths from 1 down to ``ratio``: its singular
+    values are those lengths, and its solutions are well determined however
+    small ``ratio`` is, so stable solvers agree on them to round-off."""
+    frame = np.linalg.qr(rng.normal(size=(d, d)))[0][:m]
+    u = rng.normal(size=(1, d))
+    return u, u + np.geomspace(1.0, ratio, m)[:, None] * frame
+
+
+@pytest.mark.parametrize("m,d", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
+def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
+    # Well-conditioned rows (s_min/s_max = 0.5) mixed with rows at 1e-13
+    # (dependent under lstsq's cutoff 1e-12), 1e-11 (full rank but beyond
+    # the certificate, so solved by the SVD fallback) and 1e-9 (certified).
+    ratios = [0.5] * 4 + ([1e-13, 1e-11, 1e-9] if m > 1 else [])
+    systems = [_graded_rows(rng, m, d, ratio) + (rng.normal(size=d),) for ratio in ratios]
+    u, v, p = (np.stack(part) for part in zip(*systems))
+    a = v - u
+    r = 0.5 * np.einsum("gij,gij->gi", a, (v - p[:, None]) + (u - p[:, None]))
+    certified = _certified_solve(a, r)[1]
+    assert certified.tolist() == [ratio > 1e-10 for ratio in ratios]
+
+    accepted = []
+    for i, ratio in enumerate(ratios):
+        try:
+            _bisector_point(u[i], v[i], p[i])
+        except RankDeficient:
+            assert ratio == 1e-13
+            with pytest.raises(RankDeficient, match="dependent"):
+                _bisector_points(u[i : i + 1], v[i : i + 1], p[i : i + 1])
+        else:
+            assert ratio > 1e-13
+            accepted.append(i)
+    if len(accepted) < len(ratios):
+        with pytest.raises(RankDeficient, match="dependent"):
+            _bisector_points(u, v, p)
+
+    centers = _bisector_points(u[accepted], v[accepted], p[accepted])
+    for center, i in zip(centers, accepted):
+        if certified[i]:
+            expected = _bisector_point(u[i], v[i], p[i]) - p[i]
+            assert np.linalg.norm(center - p[i] - expected) <= 1e-12 * np.linalg.norm(expected)
+        else:
+            # The SVD code decides and solves these rows as before. It and
+            # lstsq differ by up to about 1e-10 relative on them (m=3, d=4).
+            assert np.array_equal(center, p[i] + _svd_solve(a[i : i + 1], r[i : i + 1])[0])
+
+
+def test_certified_solve_refuses_an_inconsistent_row_among_consistent_ones(rng):
+    # Five cospherical points in R^3 per row: four bisector rows, one more
+    # than the columns, consistent. Moving one point off its sphere in one
+    # row of the batch leaves no common solution.
+    g = 6
+    dirs = rng.normal(size=(g, 5, 3))
+    pts = 2.0 + 1.5 * dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+    centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+    assert np.allclose(centers, 2.0, atol=1e-12)
+    for i in range(g):
+        expected = _bisector_point(pts[i, 0], pts[i, 1:], pts[i, 0])
+        assert np.linalg.norm(centers[i] - expected) <= 1e-12 * np.linalg.norm(expected)
+    pts[3, 4] *= 1.01
+    with pytest.raises(RankDeficient, match="no common solution"):
+        _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+    with pytest.raises(RankDeficient, match="no common solution"):
+        _bisector_point(pts[3, 0], pts[3, 1:], pts[3, 0])
 
 
 def test_lift_clouds_heights_exact():
