@@ -200,7 +200,7 @@ def cmd_compare(args) -> int:
 def cmd_scaling(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",")]
     records = scaling_experiment(
-        n_list, trials=args.trials, dim=args.dim or 2, seed=args.seed, workers=args.workers
+        n_list, trials=args.trials, dim=args.dim, seed=args.seed, workers=args.workers
     )
     fits = fit_linear(records)
     ratios = doubling_ratios(records)

@@ -4,28 +4,28 @@ The value of a simplex Q is the smallest radius r at which the restricted
 Voronoi balls of its vertices (each restricted within its own cloud) have
 a common point. Values are computed top-down:
 
-* ``relaxed_value`` solves the relaxation that ignores the Voronoi
-  restriction: minimize the larger of the two cloud radii over the affine
-  set of centers equidistant from Q's X part and, separately, from its Y
-  part. The minimizer is one of three candidates -- the X-side projection
-  if its X radius dominates there, else the Y-side projection if its Y
-  radius dominates there, else the center of the smallest sphere through
-  all of Q.
+* The relaxed value ignores the Voronoi restriction: minimize the larger
+  of the two cloud radii over the affine set of centers equidistant from
+  Q's X part and, separately, from its Y part. The minimizer is one of
+  three candidates -- the X-side projection if its X radius dominates
+  there, else the Y-side projection if its Y radius dominates there, else
+  the center of the smallest sphere through all of Q. ``_relaxed_batch``
+  is the one spelling of this case analysis: it solves a dimension's
+  simplices per (|Q_X|, |Q_Y|) type, rows with the same X count gathered
+  into one (g, k+1, d) array and solved by stacked bisector solves, and
+  ``relaxed_value`` is its one-row call.
 * ``coupled_filtration`` walks the complex from the top dimension down,
-  one batched pass per dimension. The relaxed values of a dimension are
-  solved per (|Q_X|, |Q_Y|) type: rows with the same X count are gathered
-  into one (g, k+1, d) array and solved by stacked bisector solves with
-  the arithmetic of ``relaxed_value`` (which stays the scalar reference).
-  The coupled Gabriel test decides whether a simplex's relaxed solution
-  is feasible for the original problem relative to one coface: the open
-  X ball around the relaxed center must avoid the coface's X vertices
-  and the open Y ball its Y vertices. For a pure simplex this
-  degenerates to the classical one-ball Gabriel test against its own
-  cloud. It runs as array comparisons over (facet, coface) rows, one per
-  dropped vertex of each coface, read from the complex's ``facet_index``
-  (which the boundary matrix reads too). A simplex that passes against
-  every coface keeps its relaxed value, anything else inherits the
-  minimum over its cofaces, scattered with ``np.minimum.at``.
+  one batched pass per dimension. The coupled Gabriel test decides
+  whether a simplex's relaxed solution is feasible for the original
+  problem relative to one coface: the open X ball around the relaxed
+  center must avoid the coface's X vertices and the open Y ball its Y
+  vertices. For a pure simplex this degenerates to the classical
+  one-ball Gabriel test against its own cloud. It runs as array
+  comparisons over (facet, coface) rows, one per dropped vertex of each
+  coface, read from the complex's ``facet_index`` (which the boundary
+  matrix reads too). A simplex that passes against every coface keeps
+  its relaxed value, anything else inherits the minimum over its
+  cofaces, scattered with ``np.minimum.at``.
 
 Vertices get value 0 and values are monotone along face inclusions by
 construction. A simplex without cofaces starts from ``math.inf``, the
@@ -42,11 +42,13 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CoupledComplex, Simplex
-from .geometry import EPS, GeometryError, _bisector_point, _bisector_points, as_point_array
+from .geometry import EPS, GeometryError, _bisector_points, as_point_array
 
 X_DOMINANT = "X_DOMINANT"
 Y_DOMINANT = "Y_DOMINANT"
 CIRCUMSPHERE = "CIRCUMSPHERE"
+# Case names by the codes 0, 1, 2 that ``_relaxed_batch`` returns.
+CASES = (X_DOMINANT, Y_DOMINANT, CIRCUMSPHERE)
 
 # Absolute slack when comparing the two candidate radii for dominance.
 _TIE_EPS = 1e-12
@@ -126,49 +128,9 @@ def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
     if n_x == 0 and n_y == 0:
         raise ValueError("need at least one vertex")
     dim = q_x.shape[1] if n_x else q_y.shape[1]
-    if n_x + n_y > dim + 2:
-        raise DimensionOverflow(
-            f"{n_x + n_y} vertices exceed the maximum simplex size {dim + 2} in R^{dim}"
-        )
-
-    if n_x == 0 or n_y == 0:
-        pts = q_x if n_x else q_y
-        # Solve relative to the first vertex and read the radius off that
-        # solution, before adding the vertex back rounds it to the coordinates.
-        rel = pts - pts[0]
-        sol = _bisector_point(rel[0], rel[1:], rel[0], eps)
-        radius = float(np.linalg.norm(sol))
-        if n_x:
-            return SphereSolution(sol + pts[0], radius, 0.0, X_DOMINANT)
-        return SphereSolution(sol + pts[0], 0.0, radius, Y_DOMINANT)
-
-    # Work in coordinates shifted to the simplex centroid for conditioning.
-    shift = np.vstack([q_x, q_y]).mean(axis=0)
-    px = q_x - shift
-    py = q_y - shift
-    x1, y1 = px[0], py[0]
-    # Bisector pairs: every other X vertex with x1, every other Y vertex with y1.
-    u = np.repeat([x1, y1], [n_x - 1, n_y - 1], axis=0)
-    v = np.vstack([px[1:], py[1:]])
-
-    c_x = _bisector_point(u, v, x1, eps)  # raises RankDeficient on dependent rows
-    r_xx = float(np.linalg.norm(c_x - x1))
-    r_xy = float(np.linalg.norm(c_x - y1))
-    if r_xx >= r_xy - _TIE_EPS:
-        return SphereSolution(c_x + shift, r_xx, r_xy, X_DOMINANT)
-
-    c_y = _bisector_point(u, v, y1, eps)
-    r_yx = float(np.linalg.norm(c_y - x1))
-    r_yy = float(np.linalg.norm(c_y - y1))
-    if r_yx <= r_yy + _TIE_EPS:
-        return SphereSolution(c_y + shift, r_yx, r_yy, Y_DOMINANT)
-
-    # Both radii active: the minimizer is equidistant from every vertex of
-    # the simplex, i.e. the center of the smallest sphere through all of it.
-    center = _bisector_point(np.vstack([u, x1]), np.vstack([v, y1]), x1, eps)
-    r_x = float(np.linalg.norm(center - x1))
-    r_y = float(np.linalg.norm(center - y1))
-    return SphereSolution(center + shift, r_x, r_y, CIRCUMSPHERE)
+    points = np.vstack([q_x.reshape(n_x, dim), q_y])
+    center, radius_x, radius_y, case = _relaxed_batch(points, n_x, np.arange(n_x + n_y)[None], eps)
+    return SphereSolution(center[0], float(radius_x[0]), float(radius_y[0]), CASES[case[0]])
 
 
 def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
@@ -200,7 +162,7 @@ def _gabriel_walk(cplx: CoupledComplex):
         if k == 0:
             yield rows, np.zeros(len(rows)), gabriel
             return
-        center, radius_x, radius_y = _relaxed_batch(points, n_x, rows, eps)
+        center, radius_x, radius_y, _ = _relaxed_batch(points, n_x, rows, eps)
         min_coface = np.full(len(rows), math.inf)
         if above is not None:
             # Facet j of a coface drops its vertex j; facets absent from the
@@ -223,15 +185,17 @@ def _gabriel_walk(cplx: CoupledComplex):
 
 
 def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
-    """Relaxed centers and radii of the simplices ``rows``, batched per type.
+    """Relaxed centers, radii and cases of the simplices ``rows``, batched per type.
 
     ``rows`` is an (m, k+1) array of sorted global vertex indices, X ones
     first. Rows are grouped by their X count and each group is solved in
-    stacked bisector solves with the arithmetic of ``relaxed_value``:
-    pure rows shifted to their first vertex, mixed rows shifted to their
-    centroid, with the X and Y candidates sharing one factorization and
-    the circumsphere solved only where neither radius dominates. Returns
-    ``(center, radius_x, radius_y)`` of shapes (m, d), (m,), (m,).
+    stacked bisector solves: pure rows shifted to their first vertex,
+    mixed rows shifted to their centroid, with the X and Y candidates
+    sharing one factorization and the circumsphere solved only where
+    neither radius dominates. Returns ``(center, radius_x, radius_y, case)``
+    of shapes (m, d), (m,), (m,), (m,); ``case`` holds the index into
+    ``CASES`` of the candidate that won (a pure row is dominated by its
+    own cloud).
     """
     m, size = rows.shape
     dim = points.shape[1]
@@ -245,6 +209,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
     center = np.empty((m, dim))
     radius_x = np.zeros(m)
     radius_y = np.zeros(m)
+    case = np.empty(m, dtype=np.intp)
     counts = in_x.sum(axis=1)
     for n_qx in np.unique(counts).tolist():
         sel = np.flatnonzero(counts == n_qx)
@@ -257,6 +222,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
             sol = _bisector_points(rel[:, :1], rel[:, 1:], rel[:, 0], eps)
             center[sel] = sol + first
             (radius_x if n_qx else radius_y)[sel] = np.linalg.norm(sol, axis=1)
+            case[sel] = 0 if n_qx else 1
             continue
         # Work in coordinates shifted to each simplex's centroid for conditioning.
         shift = pts.mean(axis=1)
@@ -273,6 +239,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
         both = np.flatnonzero((pick == 1) & (r_x[1] > r_y[1] + _TIE_EPS))
         g = np.arange(len(sel))
         c, r_x, r_y = c[pick, g], r_x[pick, g], r_y[pick, g]
+        pick[both] = 2  # the case code: 0 and 1 name the candidate taken
         if both.size:
             # Both radii active: the minimizer is the center of the smallest
             # sphere through all of the simplex.
@@ -283,4 +250,5 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
         center[sel] = c + shift
         radius_x[sel] = r_x
         radius_y[sel] = r_y
-    return center, radius_x, radius_y
+        case[sel] = pick
+    return center, radius_x, radius_y, case

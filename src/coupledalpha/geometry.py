@@ -7,9 +7,13 @@ shape ``(n, d)``.
 
 There is no exact arithmetic. Predicates share one absolute/relative
 tolerance ``EPS``; rank decisions use the tighter ``RANK_RCOND`` cutoff.
-Stacked bisector systems are solved by LU or QR, and a condition-number
-certificate decides which solutions stand; only the rest pay for the SVD
-that makes the rank decision (``_bisector_points``).
+There are two bisector solves. The fast paths use ``_bisector_points``:
+stacked systems solved by LU or QR, where a condition-number certificate
+decides which solutions stand and only the rest pay for the SVD that
+makes the rank decision. The brute-force routes (``_circumsphere``, and
+through it ``min_enclosing_ball``, the general-position check and the
+brute-force Delaunay) solve one system at a time by lstsq, so that they
+stay arithmetically independent of the fast paths.
 Inputs closer than the tolerance to a degenerate configuration are
 rejected with an error rather than silently perturbed -- ``jitter`` is
 the explicit way out for callers that want perturbation.
@@ -85,46 +89,21 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
     return pts
 
 
-def _bisector_point(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """Closest point to ``p`` equidistant from ``u[i]`` and ``v[i]`` for every row i.
-
-    This is the bisector-flat solve of the package: circumcenters and the
-    candidate centers of ``relaxed_value`` come from it, and
-    ``_bisector_points`` is its stacked twin for batches. The flat is
-    {c : (v - u) @ (c - p) = r} with r the residual at ``p``, taken from
-    differences to ``p`` so that nothing cancels when the points are far
-    from the origin; the closest point is ``p`` plus the minimum-norm
-    solution. ``u`` may be a single row shared by all.
-
-    Raises RankDeficient when the rows of ``v - u`` are dependent, except
-    for an overdetermined system (more rows than columns) that is
-    consistent within ``eps``, as for cospherical points.
-    """
-    a = v - u
-    if a.shape[0] == 0:
-        return p.copy()
-    # |v - p|^2 - |u - p|^2 factored, which is exact for u = p.
-    r = 0.5 * np.einsum("ij,ij->i", a, (v - p) + (u - p))
-    sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
-    if rank < min(a.shape):
-        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {min(a.shape)})")
-    if rank < a.shape[0]:
-        scale = 1.0 + float(np.abs(r).max())
-        if float(np.abs(a @ sol - r).max()) > eps * scale:
-            raise RankDeficient("bisector system has no common solution")
-    return p + sol
-
-
 def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """Stacked twin of ``_bisector_point``: system i solves ``u[i], v[i], p[i]``.
+    """Closest point to ``p[i]`` equidistant from ``u[i, j]`` and ``v[i, j]`` for every j.
 
-    ``u`` and ``v`` have shape (g, m, d) (``u`` may be (g, 1, d)); ``p`` is
-    (g, d), or (t, g, d) for t anchor points that share the bisector rows
-    and so one factorization. The residual is formed from differences to
-    ``p`` exactly as in the scalar solver. Each block is solved by one
-    stacked LAPACK call (``_certified_solve``): an LU inverse of a square
-    system, else a QR factorization, with a certificate that the system is
-    far from rank loss. The rows without one go through the SVD of
+    This is the bisector-flat solve of the fast paths: the candidate
+    centers of the relaxed values and the circumspheres of the
+    triangulation come from it. ``u`` and ``v`` have shape (g, m, d)
+    (``u`` may be (g, 1, d)); ``p`` is (g, d), or (t, g, d) for t anchor
+    points that share the bisector rows and so one factorization. Flat i
+    is {c : a (c - p) = r} with ``a = v - u`` and r the residual at ``p``,
+    taken from differences to ``p`` so that nothing cancels when the
+    points are far from the origin; the closest point is ``p`` plus the
+    minimum-norm solution. Each block is solved by one stacked LAPACK
+    call (``_certified_solve``): an LU inverse of a square system, else a
+    QR factorization, with a certificate that the system is far from rank
+    loss. The rows without one go through the SVD of
     ``_svd_solve``, which keeps lstsq's rules: singular values at most
     ``RANK_RCOND`` times the largest count as zero, and a rank below
     min(m, d) raises RankDeficient. An overdetermined system (m > d)
@@ -196,15 +175,23 @@ def _svd_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _circumsphere(points: np.ndarray, eps: float = EPS) -> Sphere | None:
     """Smallest sphere through all of ``points``, or None if no such sphere.
 
-    The center is the circumcenter inside the affine hull of the points.
-    Returns None when the points are affinely dependent (or, for more than
-    d+1 points, not cospherical).
+    The center is the circumcenter inside the affine hull of the points:
+    ``pts[0]`` plus the minimum-norm solution of the bisector rows
+    ``a = pts[1:] - pts[0]``, solved by lstsq. This is the brute-force
+    solve, kept apart from the LU/QR solves of ``_bisector_points``.
+    Returns None when the rows are dependent (the points are affinely
+    dependent) or, for more than d+1 points, inconsistent beyond ``eps``
+    (the points are not cospherical).
     """
     pts = np.asarray(points, dtype=float)
-    try:
-        center = _bisector_point(pts[0], pts[1:], pts[0], eps)
-    except RankDeficient:
+    a = pts[1:] - pts[0]
+    r = 0.5 * np.einsum("ij,ij->i", a, a)
+    sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
+    if rank < min(a.shape):
         return None
+    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > eps * (1.0 + float(r.max())):
+        return None
+    center = pts[0] + sol
     return Sphere(center, float(np.linalg.norm(center - pts[0])))
 
 

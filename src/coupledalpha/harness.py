@@ -79,6 +79,10 @@ def scaling_experiment(
         raise ValueError("intensities must be ascending")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     jobs = [(n, trial, dim, seed) for n in n_list for trial in range(trials)]
     size = min(workers, len(jobs))
     if size > 1:

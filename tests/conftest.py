@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from coupledalpha import PointCloudPair, coupled_alpha_infty, coupled_filtration, relaxed_value
+from coupledalpha.geometry import EPS, RANK_RCOND, RankDeficient
 from coupledalpha.homology import Interval, PersistenceDiagram
 from coupledalpha.oracle import feasibility
 
@@ -47,6 +48,26 @@ def nerve_from_feasibility(pair, max_size):
             break
         current = grown
     return members
+
+
+def lstsq_bisector(u, v, p, eps=EPS):
+    """Closest point to ``p`` equidistant from ``u[i]`` and ``v[i]`` for every row i, by lstsq.
+
+    One system at a time, with lstsq's rank rule at ``RANK_RCOND``: the
+    reference for the stacked LU/QR solves of ``_bisector_points``.
+    ``u`` may be a single row shared by all. Raises RankDeficient on
+    dependent rows, or on an overdetermined system inconsistent beyond
+    ``eps``.
+    """
+    a = v - u
+    r = 0.5 * np.einsum("ij,ij->i", a, (v - p) + (u - p))
+    sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
+    if rank < min(a.shape):
+        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {min(a.shape)})")
+    scale = 1.0 + float(np.abs(r).max(initial=0.0))
+    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > eps * scale:
+        raise RankDeficient("bisector system has no common solution")
+    return p + sol
 
 
 def golden_min(fun, lo, hi, tol=1e-9):

@@ -266,6 +266,16 @@ def test_scaling_rejects_workers_below_one(capsys, workers):
     assert out == ""
     assert err == f"error: workers must be at least 1, got {workers}\n"
 
+
+@pytest.mark.parametrize("option,value", [("--dim", "0"), ("--dim", "-1"), ("--trials", "0")])
+def test_scaling_rejects_dim_and_trials_below_one(capsys, option, value):
+    argv = ["scaling", "--n-list", "8", "--trials", "1", option, value]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {option[2:]} must be at least 1, got {value}\n"
+
+
 def test_output_file_matches_stdout(capsys, tmp_path, clouds):
     x, y = clouds
     out_path = tmp_path / "rows.csv"

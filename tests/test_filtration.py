@@ -13,6 +13,7 @@ from coupledalpha import (
 )
 from coupledalpha._rows import facets, match, unique
 from coupledalpha.filtration import (
+    CASES,
     CIRCUMSPHERE,
     X_DOMINANT,
     Y_DOMINANT,
@@ -201,25 +202,33 @@ def _seeded_complexes():
 
 
 def test_batched_relaxed_values_match_scalar():
-    types, cases = set(), set()
+    # ``relaxed_value`` is the one-row call of the batch; the independent
+    # reference is the golden-section minimum, checked on the first simplex
+    # of every (dimension, |Q_X|, |Q_Y|, case) met.
+    sample = {}
     for cplx in _seeded_complexes():
         pair = cplx.pair
         for k in range(1, cplx.dimension + 1):
             simplices = cplx.by_dim(k)
             rows = np.array(simplices)
-            center, radius_x, radius_y = _relaxed_batch(pair.points, pair.n_x, rows, pair.eps)
+            center, radius_x, radius_y, case = _relaxed_batch(pair.points, pair.n_x, rows, pair.eps)
             for i, simplex in enumerate(simplices):
-                ref = relaxed_value(*split_coords(pair, simplex), pair.eps)
-                qx, qy = pair.split(simplex)
-                types.add((len(qx), len(qy)))
-                cases.add(ref.case)
+                q_x, q_y = split_coords(pair, simplex)
+                ref = relaxed_value(q_x, q_y, pair.eps)
+                assert ref.case == CASES[case[i]]
                 scale = max(ref.relaxed_radius, float(np.abs(ref.center).max()))
                 assert np.abs(center[i] - ref.center).max() <= 1e-12 * scale
                 assert radius_x[i] == pytest.approx(ref.radius_x, rel=1e-12, abs=0.0)
                 assert radius_y[i] == pytest.approx(ref.radius_y, rel=1e-12, abs=0.0)
+                key = (pair.points.shape[1], len(q_x), len(q_y), ref.case)
+                sample.setdefault(key, (q_x, q_y, max(radius_x[i], radius_y[i])))
+    for q_x, q_y, radius in sample.values():
+        assert radius == pytest.approx(minimize_relaxed(q_x, q_y), abs=1e-7)
     # Every (|Q_X|, |Q_Y|) type of d=2 and d=3 (pure ones included) and every case.
-    assert types == {(a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 5}
-    assert cases == {X_DOMINANT, Y_DOMINANT, CIRCUMSPHERE}
+    assert {key[1:3] for key in sample} == {
+        (a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 5
+    }
+    assert {key[3] for key in sample} == set(CASES)
 
 
 def test_coupled_filtration_matches_reference_walk():

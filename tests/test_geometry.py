@@ -10,7 +10,6 @@ from coupledalpha.geometry import (
     DegenerateInput,
     RankDeficient,
     _affine_rank,
-    _bisector_point,
     _bisector_points,
     _certified_solve,
     _circumsphere,
@@ -22,6 +21,7 @@ from coupledalpha.geometry import (
     lift_clouds,
     min_enclosing_ball,
 )
+from conftest import lstsq_bisector
 
 
 def test_as_point_array_shapes_and_errors():
@@ -58,7 +58,7 @@ def test_equidistant_center_rejects_collinear():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     assert _circumsphere(pts) is None
     with pytest.raises(RankDeficient):
-        _bisector_point(pts[0], pts[1:], pts[0])
+        _bisector_points(pts[None, :1], pts[None, 1:], pts[None, 0])
 
 
 def test_min_enclosing_ball_known_configurations():
@@ -111,7 +111,7 @@ def test_null_space_and_particular_solution(rng):
         u = rng.normal(size=(rows, d))
         v = rng.normal(size=(rows, d))
         p = rng.normal(size=d)
-        c = _bisector_point(u, v, p)
+        c = _bisector_points(u[None], v[None], p[None])[0]
         assert np.allclose(
             np.linalg.norm(c - u, axis=1), np.linalg.norm(c - v, axis=1), atol=1e-9
         )
@@ -128,7 +128,7 @@ def test_bisector_point_rejects_dependent_rows():
     u = np.zeros((2, 2))
     v = np.array([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(RankDeficient):
-        _bisector_point(u, v, np.ones(2))
+        _bisector_points(u[None], v[None], np.ones((1, 2)))
 
 
 def test_stacked_bisector_points_match_scalar(rng):
@@ -139,7 +139,7 @@ def test_stacked_bisector_points_match_scalar(rng):
         stacked = _bisector_points(u, v, p)
         for t in range(2):
             for i in range(6):
-                expected = _bisector_point(u[i], v[i], p[t, i])
+                expected = lstsq_bisector(u[i], v[i], p[t, i])
                 assert np.allclose(stacked[t, i], expected, rtol=1e-12, atol=1e-12)
     # Overdetermined but consistent: five cospherical points in the plane.
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(4, 5))
@@ -185,7 +185,7 @@ def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
     accepted = []
     for i, ratio in enumerate(ratios):
         try:
-            _bisector_point(u[i], v[i], p[i])
+            lstsq_bisector(u[i], v[i], p[i])
         except RankDeficient:
             assert ratio == 1e-13
             with pytest.raises(RankDeficient, match="dependent"):
@@ -200,7 +200,7 @@ def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
     centers = _bisector_points(u[accepted], v[accepted], p[accepted])
     for center, i in zip(centers, accepted):
         if certified[i]:
-            expected = _bisector_point(u[i], v[i], p[i]) - p[i]
+            expected = lstsq_bisector(u[i], v[i], p[i]) - p[i]
             assert np.linalg.norm(center - p[i] - expected) <= 1e-12 * np.linalg.norm(expected)
         else:
             # The SVD code decides and solves these rows as before. It and
@@ -218,13 +218,12 @@ def test_certified_solve_refuses_an_inconsistent_row_among_consistent_ones(rng):
     centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
     assert np.allclose(centers, 2.0, atol=1e-12)
     for i in range(g):
-        expected = _bisector_point(pts[i, 0], pts[i, 1:], pts[i, 0])
+        expected = lstsq_bisector(pts[i, 0], pts[i, 1:], pts[i, 0])
         assert np.linalg.norm(centers[i] - expected) <= 1e-12 * np.linalg.norm(expected)
     pts[3, 4] *= 1.01
     with pytest.raises(RankDeficient, match="no common solution"):
         _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
-    with pytest.raises(RankDeficient, match="no common solution"):
-        _bisector_point(pts[3, 0], pts[3, 1:], pts[3, 0])
+    assert _circumsphere(pts[3]) is None
 
 
 def test_lift_clouds_heights_exact():
