@@ -28,7 +28,7 @@ import numpy as np
 
 from .complexes import CoupledComplex, PointCloudPair, coupled_alpha_infty
 from .filtration import coupled_filtration
-from .geometry import EPS, GeometryError, check_coupled_general_position
+from .geometry import GeometryError, check_coupled_general_position
 from .harness import doubling_ratios, fit_linear, scaling_experiment
 from .homology import persistence_diagram
 from .oracle import (
@@ -117,13 +117,13 @@ def _load_pair(args) -> PointCloudPair:
     y = load_points(args.y, args.dim) if args.y else None
     # The exhaustive checker is exponential; the `check` subcommand runs
     # it explicitly, construction relies on the triangulation guards.
-    return PointCloudPair(x, y, check=False, eps=args.epsilon)
+    return PointCloudPair(x, y, check=False)
 
 
 def cmd_build(args) -> int:
     pair = _load_pair(args)
     cplx = coupled_alpha_infty(pair)
-    simplices = sorted(cplx, key=lambda s: (len(s), s))
+    simplices = cplx.simplices
     if args.format == "json":
         payload = {"dim": pair.dim, "simplices": [list(s) for s in simplices]}
         _emit(args, json.dumps(payload, sort_keys=True) + "\n")
@@ -244,7 +244,7 @@ def cmd_scaling(args) -> int:
 def cmd_check(args) -> int:
     x = load_points(args.x, args.dim)
     y = load_points(args.y, args.dim) if args.y else np.zeros((0, x.shape[1] if x.size else 0))
-    ok, violations = check_coupled_general_position(x, y, args.epsilon)
+    ok, violations = check_coupled_general_position(x, y)
     if args.format == "json":
         payload = {
             "ok": ok,
@@ -268,15 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, y_required=False, y_allowed=True):
+    def common(p, y_required=False):
         p.add_argument("x", help="CSV file with the X cloud, one point per row")
-        if y_allowed:
-            if y_required:
-                p.add_argument("y", help="CSV file with the Y cloud")
-            else:
-                p.add_argument("y", nargs="?", default=None, help="CSV file with the Y cloud")
+        if y_required:
+            p.add_argument("y", help="CSV file with the Y cloud")
+        else:
+            p.add_argument("y", nargs="?", default=None, help="CSV file with the Y cloud")
         p.add_argument("--dim", type=int, default=None, help="expected ambient dimension")
-        p.add_argument("--epsilon", type=float, default=EPS, help="geometric tolerance")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--output", default=None, help="write here instead of stdout")
 

@@ -22,7 +22,6 @@ import numpy as np
 from ._rows import facets, match, unique
 from .delaunay import delaunay_incremental
 from .geometry import (
-    EPS,
     DegenerateInput,
     GeneralPositionError,
     as_point_array,
@@ -39,10 +38,12 @@ class PointCloudPair:
     By default the coupled general-position check runs on construction and
     raises ``GeneralPositionError`` on failure; pass ``check=False`` to
     waive it (the check is exhaustive over subsets, so waiving is the
-    normal thing to do for more than a few dozen points).
+    normal thing to do for more than a few dozen points). The check, the
+    triangulation and the filtration all decide ties with the one fixed
+    tolerance ``geometry.EPS``.
     """
 
-    def __init__(self, x, y=None, *, check: bool = True, eps: float = EPS):
+    def __init__(self, x, y=None, *, check: bool = True):
         x = as_point_array(x)
         if y is None:
             y = np.zeros((0, x.shape[1] if x.size else 0))
@@ -55,10 +56,9 @@ class PointCloudPair:
         self.x = x.reshape(x.shape[0], dim)
         self.y = y.reshape(y.shape[0], dim)
         self.dim = dim
-        self.eps = eps
         self._points = np.vstack([self.x, self.y]) if dim else np.zeros((0, 0))
         if check and (x.shape[0] or y.shape[0]):
-            ok, violations = check_coupled_general_position(self.x, self.y, eps)
+            ok, violations = check_coupled_general_position(self.x, self.y)
             if not ok:
                 raise GeneralPositionError(violations)
 
@@ -167,7 +167,7 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
         points, what = lift_clouds(pair.x, pair.y), "lifted pair"
     else:
         points, what = pair.points, "cloud"
-    cells = np.array(delaunay_incremental(points, pair.eps).cells, dtype=np.int64)
+    cells = np.array(delaunay_incremental(points).cells, dtype=np.int64)
     # The triangulation works inside the affine hull: its cells have rank + 1 vertices.
     rank = cells.shape[1] - 1 if len(cells) else 0
     expected = min(pair.n_total - 1, points.shape[1])

@@ -76,7 +76,7 @@ class Triangulation:
     cells: tuple[tuple[int, ...], ...]
 
 
-def _prepare(points, eps: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _prepare(points) -> tuple[np.ndarray, np.ndarray, int]:
     pts = as_point_array(points)
     n = pts.shape[0]
     if n >= 2:
@@ -88,13 +88,13 @@ def _prepare(points, eps: float) -> tuple[np.ndarray, np.ndarray, int]:
             at = int(dist2.argmin())
             if dist2.flat[at] < best:
                 best, i, j = dist2.flat[at], start + at // n, at % n
-        if float(best) <= eps * eps:
+        if float(best) <= EPS * EPS:
             raise DegenerateInput(f"points {i} and {j} coincide within tolerance")
     coords, rank = _hull_coordinates(pts)
     return pts, coords, rank
 
 
-def delaunay_bruteforce(points, eps: float = EPS) -> Triangulation:
+def delaunay_bruteforce(points) -> Triangulation:
     """Delaunay triangulation straight from the empty-circumsphere definition.
 
     Every (m+1)-subset of the (hull-reduced) points is tested: affinely
@@ -103,18 +103,18 @@ def delaunay_bruteforce(points, eps: float = EPS) -> Triangulation:
     circumsphere of an otherwise empty sphere raises
     ``AmbiguousTriangulation``.
     """
-    pts, coords, rank = _prepare(points, eps)
+    pts, coords, rank = _prepare(points)
     n = coords.shape[0]
     if rank == 0:
         return Triangulation(pts, ())
     cells = []
     for combo in itertools.combinations(range(n), rank + 1):
-        sphere = _circumsphere(coords[list(combo)], eps)
+        sphere = _circumsphere(coords[list(combo)])
         if sphere is None:
             continue
         dist = np.linalg.norm(coords - sphere.center, axis=1)
         dist[list(combo)] = np.inf
-        tol = eps * (1.0 + sphere.radius)
+        tol = EPS * (1.0 + sphere.radius)
         if bool((dist < sphere.radius - tol).any()):
             continue
         on = np.nonzero(np.abs(dist - sphere.radius) <= tol)[0]
@@ -146,12 +146,11 @@ class _CellStore:
     circumsphere meets the facet's hyperplane in the facet's circumsphere.
     """
 
-    def __init__(self, coords: np.ndarray, interior: np.ndarray, eps: float):
+    def __init__(self, coords: np.ndarray, interior: np.ndarray):
         n, m = coords.shape
         self.coords = coords
         self.interior = interior
-        self.eps = eps
-        self.side_tol = eps * (1.0 + float(np.abs(coords).max()))
+        self.side_tol = EPS * (1.0 + float(np.abs(coords).max()))
         capacity = 8 * n + 64
         self.verts = np.full((capacity, m + 1), -1, dtype=np.int64)
         self.centers = np.zeros((capacity, m))
@@ -202,12 +201,12 @@ class _CellStore:
     def _circumcenters(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Circumcenters of the point rows ``pts`` (h, k, m), in one stacked solve."""
         try:
-            return _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0], self.eps)
+            return _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
         except RankDeficient:
             # Name the first degenerate cell; only a refused insertion runs this loop.
             for cell, one in zip(cells.tolist(), pts):
                 try:
-                    _bisector_points(one[None, :1], one[None, 1:], one[None, 0], self.eps)
+                    _bisector_points(one[None, :1], one[None, 1:], one[None, 0])
                 except RankDeficient:
                     raise AmbiguousTriangulation(
                         f"cell {tuple(cell)} is affinely degenerate within tolerance"
@@ -258,7 +257,7 @@ def _distances(centers: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return np.sqrt(dist2, out=dist2)
 
 
-def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[int]:
+def _initial_simplex(coords: np.ndarray, order: np.ndarray) -> list[int]:
     """m+1 affinely independent indices, greedily farthest from the hull so far."""
     n, m = coords.shape
     scale = 1.0 + float(np.abs(coords).max())
@@ -271,7 +270,7 @@ def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[
             rel = rel - (rel @ basis) @ basis.T
         dist = np.linalg.norm(rel, axis=1)
         far = int(dist.argmax())
-        if dist[far] <= eps * scale:
+        if dist[far] <= EPS * scale:
             raise AmbiguousTriangulation(
                 "points are affinely dependent within tolerance"
             )
@@ -279,11 +278,11 @@ def _initial_simplex(coords: np.ndarray, order: np.ndarray, eps: float) -> list[
     return chosen
 
 
-def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
+def _bowyer_watson(coords: np.ndarray) -> _CellStore:
     # A fixed seed keeps runs deterministic; the cells are sorted on output.
     order = np.random.default_rng(2003).permutation(coords.shape[0])
-    init = _initial_simplex(coords, order, eps)
-    store = _CellStore(coords, coords[init].mean(axis=0), eps)
+    init = _initial_simplex(coords, order)
+    store = _CellStore(coords, coords[init].mean(axis=0))
     start = np.array(sorted(init))
     hull = unique(facets(start[None]))[0]
     store.add(np.vstack([start, np.column_stack([np.full(len(hull), -1), hull])]))
@@ -309,7 +308,7 @@ def _bowyer_watson(coords: np.ndarray, eps: float) -> _CellStore:
     return store
 
 
-def _verify_delaunay(coords: np.ndarray, store: _CellStore, eps: float) -> list[tuple[int, ...]]:
+def _verify_delaunay(coords: np.ndarray, store: _CellStore) -> list[tuple[int, ...]]:
     """Check the final cells against the spheres and planes stored for them.
 
     Requires every input point to be used, every facet to be shared by
@@ -351,7 +350,7 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore, eps: float) -> list[
         dist = _distances(store.centers[block], coords)
         np.put_along_axis(dist, store.verts[block], np.inf, axis=1)
         radius = np.sqrt(store.radii2[block])[:, None]
-        tol = eps * (1.0 + radius)
+        tol = EPS * (1.0 + radius)
         inside = dist < radius - tol
         on = np.abs(dist - radius) <= tol
         bad = inside.any(axis=1) | on.any(axis=1)
@@ -368,7 +367,7 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore, eps: float) -> list[
     return sorted(map(tuple, finite.tolist()))
 
 
-def delaunay_incremental(points, eps: float = EPS) -> Triangulation:
+def delaunay_incremental(points) -> Triangulation:
     """Bowyer-Watson Delaunay triangulation with post-hoc verification.
 
     Matches ``delaunay_bruteforce`` on inputs in general position. The
@@ -377,8 +376,8 @@ def delaunay_incremental(points, eps: float = EPS) -> Triangulation:
     a circumsphere computation; the result is verified from the stored
     spheres and planes before returning.
     """
-    pts, coords, rank = _prepare(points, eps)
+    pts, coords, rank = _prepare(points)
     if rank == 0:
         return Triangulation(pts, ())
-    store = _bowyer_watson(coords, eps)
-    return Triangulation(pts, tuple(_verify_delaunay(coords, store, eps)))
+    store = _bowyer_watson(coords)
+    return Triangulation(pts, tuple(_verify_delaunay(coords, store)))

@@ -112,7 +112,7 @@ class FilteredComplex:
         return [items[k][i] for k, i in zip(dim.tolist(), index.tolist())]
 
 
-def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
+def relaxed_value(q_x, q_y) -> SphereSolution:
     """Solve the relaxed smallest-radius problem for a labeled simplex.
 
     ``q_x`` and ``q_y`` are the simplex's vertex coordinates per cloud;
@@ -129,7 +129,7 @@ def relaxed_value(q_x, q_y, eps: float = EPS) -> SphereSolution:
         raise ValueError("need at least one vertex")
     dim = q_x.shape[1] if n_x else q_y.shape[1]
     points = np.vstack([q_x.reshape(n_x, dim), q_y])
-    center, radius_x, radius_y, case = _relaxed_batch(points, n_x, np.arange(n_x + n_y)[None], eps)
+    center, radius_x, radius_y, case = _relaxed_batch(points, n_x, np.arange(n_x + n_y)[None])
     return SphereSolution(center[0], float(radius_x[0]), float(radius_y[0]), CASES[case[0]])
 
 
@@ -140,7 +140,7 @@ def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
     own relaxed value (coupled Gabriel against all cofaces) or inherits
     the smallest coface value. The minimum with the coface values is
     always taken, which makes the result monotone under float arithmetic
-    too. The tolerance is the pair's ``eps``.
+    too. The Gabriel test's tolerance is ``geometry.EPS``.
     """
     levels = [value for _, value, _ in _gabriel_walk(cplx)]
     return FilteredComplex(cplx=cplx, levels=levels[::-1])
@@ -154,7 +154,7 @@ def _gabriel_walk(cplx: CoupledComplex):
     value 0).
     """
     pair = cplx.pair
-    points, n_x, eps = pair.points, pair.n_x, pair.eps
+    points, n_x = pair.points, pair.n_x
     above = None  # rows and values of the dimension above
     for k in range(cplx.dimension, -1, -1):
         rows = cplx.rows[k]
@@ -162,7 +162,7 @@ def _gabriel_walk(cplx: CoupledComplex):
         if k == 0:
             yield rows, np.zeros(len(rows)), gabriel
             return
-        center, radius_x, radius_y, _ = _relaxed_batch(points, n_x, rows, eps)
+        center, radius_x, radius_y, _ = _relaxed_batch(points, n_x, rows)
         min_coface = np.full(len(rows), math.inf)
         if above is not None:
             # Facet j of a coface drops its vertex j; facets absent from the
@@ -177,14 +177,14 @@ def _gabriel_walk(cplx: CoupledComplex):
             # so a pure simplex gets the classical Gabriel test.
             radius = np.where(extra < n_x, radius_x[facet], radius_y[facet])
             dist = np.linalg.norm(points[extra] - center[facet], axis=1)
-            gabriel[facet[dist < radius - eps * (1.0 + radius)]] = False
+            gabriel[facet[dist < radius - EPS * (1.0 + radius)]] = False
         relaxed = np.maximum(radius_x, radius_y)
         value = np.where(gabriel, np.minimum(relaxed, min_coface), min_coface)
         yield rows, value, gabriel
         above = rows, value
 
 
-def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
+def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
     """Relaxed centers, radii and cases of the simplices ``rows``, batched per type.
 
     ``rows`` is an (m, k+1) array of sorted global vertex indices, X ones
@@ -219,7 +219,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
             # center only: the radius is read off the unrounded solution.
             first = pts[:, 0]
             rel = pts - first[:, None]
-            sol = _bisector_points(rel[:, :1], rel[:, 1:], rel[:, 0], eps)
+            sol = _bisector_points(rel[:, :1], rel[:, 1:], rel[:, 0])
             center[sel] = sol + first
             (radius_x if n_qx else radius_y)[sel] = np.linalg.norm(sol, axis=1)
             case[sel] = 0 if n_qx else 1
@@ -232,7 +232,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
         first = [0] * (n_qx - 1) + [n_qx] * (size - n_qx - 1)
         other = list(range(1, n_qx)) + list(range(n_qx + 1, size))
         # The X and Y candidates share the bisector rows: (2, g, dim).
-        c = _bisector_points(pts[:, first], pts[:, other], np.stack([x1, y1]), eps)
+        c = _bisector_points(pts[:, first], pts[:, other], np.stack([x1, y1]))
         r_x = np.linalg.norm(c - x1, axis=-1)
         r_y = np.linalg.norm(c - y1, axis=-1)
         pick = np.where(r_x[0] >= r_y[0] - _TIE_EPS, 0, 1)
@@ -244,7 +244,7 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray, eps: float):
             # Both radii active: the minimizer is the center of the smallest
             # sphere through all of the simplex.
             on = pts[both]
-            c[both] = _bisector_points(on[:, first + [0]], on[:, other + [n_qx]], x1[both], eps)
+            c[both] = _bisector_points(on[:, first + [0]], on[:, other + [n_qx]], x1[both])
             r_x[both] = np.linalg.norm(c[both] - x1[both], axis=1)
             r_y[both] = np.linalg.norm(c[both] - y1[both], axis=1)
         center[sel] = c + shift

@@ -6,7 +6,8 @@ numpy arrays: a point is a row of shape ``(d,)``, a point set an array of
 shape ``(n, d)``.
 
 There is no exact arithmetic. Predicates share one absolute/relative
-tolerance ``EPS``; rank decisions use the tighter ``RANK_RCOND`` cutoff.
+tolerance, the constant ``EPS``, which every layer reads from here and no
+caller sets; rank decisions use the tighter ``RANK_RCOND`` cutoff.
 There are two bisector solves. The fast paths use ``_bisector_points``:
 stacked systems solved by LU or QR, where a condition-number certificate
 decides which solutions stand and only the rest pay for the SVD that
@@ -89,7 +90,7 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
     return pts
 
 
-def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = EPS) -> np.ndarray:
+def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Closest point to ``p[i]`` equidistant from ``u[i, j]`` and ``v[i, j]`` for every j.
 
     This is the bisector-flat solve of the fast paths: the candidate
@@ -107,7 +108,7 @@ def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = E
     ``_svd_solve``, which keeps lstsq's rules: singular values at most
     ``RANK_RCOND`` times the largest count as zero, and a rank below
     min(m, d) raises RankDeficient. An overdetermined system (m > d)
-    inconsistent beyond ``eps (1 + max|r|)`` raises too.
+    inconsistent beyond ``EPS (1 + max|r|)`` raises too.
     """
     a = v - u
     if a.shape[-2] == 0:
@@ -121,7 +122,7 @@ def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray, eps: float = E
     if a.shape[-2] > a.shape[-1]:
         scale = 1.0 + np.abs(r).max(axis=-1)
         off = np.abs(np.einsum("gij,...gj->...gi", a, sol) - r).max(axis=-1)
-        if (off > eps * scale).any():
+        if (off > EPS * scale).any():
             raise RankDeficient("bisector system has no common solution")
     return p + sol
 
@@ -172,7 +173,7 @@ def _svd_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("gqj,...gq->...gj", right, np.einsum("giq,...gi->...gq", left, r) / s)
 
 
-def _circumsphere(points: np.ndarray, eps: float = EPS) -> Sphere | None:
+def _circumsphere(points: np.ndarray) -> Sphere | None:
     """Smallest sphere through all of ``points``, or None if no such sphere.
 
     The center is the circumcenter inside the affine hull of the points:
@@ -180,7 +181,7 @@ def _circumsphere(points: np.ndarray, eps: float = EPS) -> Sphere | None:
     ``a = pts[1:] - pts[0]``, solved by lstsq. This is the brute-force
     solve, kept apart from the LU/QR solves of ``_bisector_points``.
     Returns None when the rows are dependent (the points are affinely
-    dependent) or, for more than d+1 points, inconsistent beyond ``eps``
+    dependent) or, for more than d+1 points, inconsistent beyond ``EPS``
     (the points are not cospherical).
     """
     pts = np.asarray(points, dtype=float)
@@ -189,13 +190,13 @@ def _circumsphere(points: np.ndarray, eps: float = EPS) -> Sphere | None:
     sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
     if rank < min(a.shape):
         return None
-    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > eps * (1.0 + float(r.max())):
+    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > EPS * (1.0 + float(r.max())):
         return None
     center = pts[0] + sol
     return Sphere(center, float(np.linalg.norm(center - pts[0])))
 
 
-def min_enclosing_ball(points, eps: float = EPS) -> Sphere:
+def min_enclosing_ball(points) -> Sphere:
     """Smallest ball containing all points (Welzl's algorithm).
 
     Deterministic: the internal randomized order is drawn from a fixed
@@ -212,7 +213,7 @@ def min_enclosing_ball(points, eps: float = EPS) -> Sphere:
             return None
         if len(boundary) == 1:
             return Sphere(pts[boundary[0]].copy(), 0.0)
-        sphere = _circumsphere(pts[boundary], eps)
+        sphere = _circumsphere(pts[boundary])
         if sphere is not None:
             return sphere
         # Degenerate support set (affinely dependent boundary): fall back to
@@ -263,16 +264,15 @@ def _sphere_violations(
     pts: np.ndarray,
     subset: tuple[int, ...],
     kind: str,
-    eps: float,
     index_map,
     out: list[Violation],
 ) -> None:
-    """Append a violation for every point within eps of the subset's circumsphere."""
-    sphere = _circumsphere(pts[list(subset)], eps)
+    """Append a violation for every point within EPS of the subset's circumsphere."""
+    sphere = _circumsphere(pts[list(subset)])
     if sphere is None:
         return
     dist = np.linalg.norm(pts - sphere.center, axis=1)
-    tol = eps * (1.0 + sphere.radius)
+    tol = EPS * (1.0 + sphere.radius)
     near = np.nonzero(np.abs(dist - sphere.radius) <= tol)[0]
     members = set(subset)
     for idx in near:
@@ -282,7 +282,7 @@ def _sphere_violations(
             )
 
 
-def check_coupled_general_position(x, y, eps: float = EPS) -> tuple[bool, list[Violation]]:
+def check_coupled_general_position(x, y) -> tuple[bool, list[Violation]]:
     """Check coupled general position for a pair of clouds in R^d.
 
     Each cloud on its own must be in general position: no d+1 points on a
@@ -313,7 +313,7 @@ def check_coupled_general_position(x, y, eps: float = EPS) -> tuple[bool, list[V
         if n >= 2:
             diff = cloud[:, None, :] - cloud[None, :, :]
             dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            for i, j in zip(*np.nonzero(np.triu(dist <= eps, k=1))):
+            for i, j in zip(*np.nonzero(np.triu(dist <= EPS, k=1))):
                 violations.append(Violation("duplicate", (offset + int(i), offset + int(j))))
         if n >= d + 1:
             for subset in itertools.combinations(range(n), d + 1):
@@ -324,7 +324,7 @@ def check_coupled_general_position(x, y, eps: float = EPS) -> tuple[bool, list[V
                     )
                     continue
                 _sphere_violations(
-                    cloud, subset, "cocircular", eps, lambda i, o=offset: o + i, violations
+                    cloud, subset, "cocircular", lambda i, o=offset: o + i, violations
                 )
 
     lifted = lift_clouds(x, y)
@@ -336,7 +336,7 @@ def check_coupled_general_position(x, y, eps: float = EPS) -> tuple[bool, list[V
         for cx in itertools.combinations(range(n_x), size_x):
             for cy in itertools.combinations(range(n_x, n_x + n_y), size_y):
                 _sphere_violations(
-                    lifted, cx + cy, "lifted_cocircular", eps, lambda i: i, violations
+                    lifted, cx + cy, "lifted_cocircular", lambda i: i, violations
                 )
 
     return (not violations, violations)

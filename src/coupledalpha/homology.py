@@ -7,8 +7,8 @@ takes memory proportional to the nonzeros. Dimensions are reduced from
 the top down with clearing (Chen-Kerber, "Persistent homology computation
 with a twist", 2011): a pivot one dimension up creates a class, so its
 own column is skipped. A reduced column is a Python-int bitmask over the
-ranks, which keeps the XOR loop in C. Dimension 0 is paired by union-find
-with the elder rule, which gives the pairs the reduction would.
+ranks, which keeps the XOR loop in C. Every dimension goes through this
+one reduction, H0 included; clearing skips most of the edge columns.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def reduce_and_pair(columns: list[np.ndarray]) -> list[np.ndarray]:
     """Per dimension k, the (birth, death) rank pairs of the boundary columns:
     a (k-1)-simplex creating a class and the k-simplex killing it."""
     pairs = [np.zeros((0, 2), dtype=np.intp) for _ in columns]
-    for k in range(len(columns) - 1, 1, -1):
+    for k in range(len(columns) - 1, 0, -1):
         found, reduced = [], {}  # reduced: pivot -> reduced column
         live = np.ones(len(columns[k]), dtype=bool)
         if k + 1 < len(columns):
@@ -74,19 +74,6 @@ def reduce_and_pair(columns: list[np.ndarray]) -> list[np.ndarray]:
                     break
                 col ^= reduced[low]
         pairs[k] = np.array(found, dtype=np.intp).reshape(len(found), 2)
-    if len(columns) > 1:
-        # Union-find: a component is rooted at its oldest vertex, and an
-        # edge joining two components kills the younger root.
-        parent, found = list(range(len(columns[0]))), []
-        for j, (a, b) in enumerate(columns[1].tolist()):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-                found.append((max(a, b), j))
-        pairs[1] = np.array(found, dtype=np.intp).reshape(len(found), 2)
     return pairs
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .complexes import PointCloudPair, Simplex, coupled_alpha_infty
 from .filtration import FilteredComplex, coupled_filtration
-from .geometry import EPS, as_point_array, diameter, min_enclosing_ball
+from .geometry import as_point_array, diameter, min_enclosing_ball
 from .homology import diagram_discrepancy, persistence_diagram
 
 diagram_tolerance_default = 1e-6
@@ -273,7 +273,7 @@ def value_by_bisection(
 
 
 def cech_filtration(
-    points, max_dim: int | None = None, cap: int = 16, eps: float = EPS
+    points, max_dim: int | None = None, cap: int = 16
 ) -> FilteredComplex:
     """Cech filtration of a cloud: every subset valued by its enclosing ball.
 
@@ -295,7 +295,7 @@ def cech_filtration(
             if size == 1:
                 values[combo] = 0.0
                 continue
-            radius = min_enclosing_ball(pts[list(combo)], eps).radius
+            radius = min_enclosing_ball(pts[list(combo)]).radius
             # Exact monotonicity under float arithmetic.
             for drop in range(size):
                 radius = max(radius, values[combo[:drop] + combo[drop + 1 :]])
@@ -318,6 +318,6 @@ def diagram_discrepancy_vs_reference(
     if dims is None:
         dims = list(range(pair.dim))
     fast = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
-    reference = persistence_diagram(cech_filtration(pair.points, eps=pair.eps))
+    reference = persistence_diagram(cech_filtration(pair.points))
     worst = diagram_discrepancy(fast, reference, dims, min_length=tol)
     return worst <= tol, worst

@@ -50,14 +50,14 @@ def nerve_from_feasibility(pair, max_size):
     return members
 
 
-def lstsq_bisector(u, v, p, eps=EPS):
+def lstsq_bisector(u, v, p):
     """Closest point to ``p`` equidistant from ``u[i]`` and ``v[i]`` for every row i, by lstsq.
 
     One system at a time, with lstsq's rank rule at ``RANK_RCOND``: the
     reference for the stacked LU/QR solves of ``_bisector_points``.
     ``u`` may be a single row shared by all. Raises RankDeficient on
     dependent rows, or on an overdetermined system inconsistent beyond
-    ``eps``.
+    ``EPS``.
     """
     a = v - u
     r = 0.5 * np.einsum("ij,ij->i", a, (v - p) + (u - p))
@@ -65,7 +65,7 @@ def lstsq_bisector(u, v, p, eps=EPS):
     if rank < min(a.shape):
         raise RankDeficient(f"bisector rows are dependent (rank {rank} < {min(a.shape)})")
     scale = 1.0 + float(np.abs(r).max(initial=0.0))
-    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > eps * scale:
+    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > EPS * scale:
         raise RankDeficient("bisector system has no common solution")
     return p + sol
 
@@ -154,20 +154,19 @@ def reference_walk(cplx):
     simplex of dimension at least one.
     """
     pair = cplx.pair
-    eps = pair.eps
     values, gabriel, pending = {}, {}, {}
     for k in range(cplx.dimension, -1, -1):
         for simplex in cplx.by_dim(k):
             if k == 0:
                 values[simplex] = 0.0
                 continue
-            sol = relaxed_value(*split_coords(pair, simplex), eps)
+            sol = relaxed_value(*split_coords(pair, simplex))
             min_coface, extras = pending.pop(simplex, [np.inf, []])
             passed = True
             for v in extras:
                 radius = sol.radius_x if v < pair.n_x else sol.radius_y
                 dist = float(np.linalg.norm(pair.points[v] - sol.center))
-                passed &= not dist < radius - eps * (1.0 + radius)
+                passed &= not dist < radius - EPS * (1.0 + radius)
             gabriel[simplex] = passed
             value = min(sol.relaxed_radius, min_coface) if passed else min_coface
             values[simplex] = value

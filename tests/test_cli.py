@@ -235,6 +235,15 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["build", "filtrate", "diagram", "compare", "check"])
+def test_epsilon_is_not_an_option(capsys, clouds, command):
+    # The tolerance is fixed; an unknown option is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main([command, *clouds, "--epsilon", "1e-9"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_scaling_rerun_byte_identical(capsys):
     argv = ["scaling", "--n-list", "8,16", "--trials", "2", "--seed", "3"]
     code_a, first, _ = run(capsys, argv)

@@ -14,7 +14,7 @@ from coupledalpha import (
 )
 from coupledalpha.complexes import _closure
 from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay, delaunay_bruteforce
-from coupledalpha.geometry import EPS, _hull_coordinates
+from coupledalpha.geometry import _hull_coordinates
 
 
 def test_single_triangle():
@@ -147,7 +147,7 @@ def test_store_reuses_dead_rows(monkeypatch):
     monkeypatch.setattr(_CellStore, "kill", counted_kill)
     rng = np.random.default_rng(5)
     lifted = lift_clouds(rng.random((200, 3)), rng.random((200, 3)))
-    store = _bowyer_watson(lifted, EPS)
+    store = _bowyer_watson(lifted)
     live = len(store.live())
     assert live <= store.count <= live + max(cavities)
     assert store.count - live == len(store.free)
@@ -193,7 +193,7 @@ def test_store_refuses_an_affinely_degenerate_cell():
     # Points 0, 1 and 2 are collinear, so cell (0, 1, 2) has no circumcircle;
     # it is named even when a sound cell comes in the same block.
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.0]])
-    store = _CellStore(coords, coords.mean(axis=0), EPS)
+    store = _CellStore(coords, coords.mean(axis=0))
     with pytest.raises(AmbiguousTriangulation, match=r"cell \(0, 1, 2\) is affinely degenerate"):
         store.add(np.array([[0, 1, 3], [0, 1, 2]]))
 
@@ -202,8 +202,8 @@ def _triangulated_store():
     # A convex pentagon around an interior point: finite and hull cells,
     # with every hull plane having points strictly on its inner side.
     coords = np.array([[0.0, 0.0], [4.0, 0.3], [5.1, 3.7], [1.9, 5.2], [-1.2, 2.9], [1.7, 2.1]])
-    store = _bowyer_watson(coords, EPS)
-    assert len(_verify_delaunay(coords, store, EPS)) == 5
+    store = _bowyer_watson(coords)
+    assert len(_verify_delaunay(coords, store)) == 5
     return coords, store
 
 
@@ -215,7 +215,7 @@ def test_verifier_refuses_a_facet_shared_once():
     coords, store = _triangulated_store()
     store.kill([_first_live(store, hull=False)])
     with pytest.raises(AmbiguousTriangulation, match="exactly two"):
-        _verify_delaunay(coords, store, EPS)
+        _verify_delaunay(coords, store)
 
 
 def test_verifier_refuses_a_flipped_hull_plane():
@@ -224,7 +224,7 @@ def test_verifier_refuses_a_flipped_hull_plane():
     store.normals[row] *= -1.0
     store.offsets[row] *= -1.0
     with pytest.raises(AmbiguousTriangulation, match="outside hull cell"):
-        _verify_delaunay(coords, store, EPS)
+        _verify_delaunay(coords, store)
 
 
 def test_verifier_refuses_a_point_inside_a_stored_sphere():
@@ -235,4 +235,4 @@ def test_verifier_refuses_a_point_inside_a_stored_sphere():
     # The centroid of a cell lies inside the hull and inside its circumsphere.
     coords[outsider] = coords[cell].mean(axis=0)
     with pytest.raises(AmbiguousTriangulation, match="strictly inside"):
-        _verify_delaunay(coords, store, EPS)
+        _verify_delaunay(coords, store)

@@ -211,10 +211,10 @@ def test_batched_relaxed_values_match_scalar():
         for k in range(1, cplx.dimension + 1):
             simplices = cplx.by_dim(k)
             rows = np.array(simplices)
-            center, radius_x, radius_y, case = _relaxed_batch(pair.points, pair.n_x, rows, pair.eps)
+            center, radius_x, radius_y, case = _relaxed_batch(pair.points, pair.n_x, rows)
             for i, simplex in enumerate(simplices):
                 q_x, q_y = split_coords(pair, simplex)
-                ref = relaxed_value(q_x, q_y, pair.eps)
+                ref = relaxed_value(q_x, q_y)
                 assert ref.case == CASES[case[i]]
                 scale = max(ref.relaxed_radius, float(np.abs(ref.center).max()))
                 assert np.abs(center[i] - ref.center).max() <= 1e-12 * scale

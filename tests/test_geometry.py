@@ -292,11 +292,11 @@ def test_pairwise_scans_take_linear_memory():
     tracemalloc.start()
     try:
         diameter(pts)
-        _prepare(pts, 1e-9)
+        _prepare(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
     pts[1777] = pts[5]
     with pytest.raises(DegenerateInput, match="points 5 and 1777 coincide"):
-        _prepare(pts, 1e-9)
+        _prepare(pts)
