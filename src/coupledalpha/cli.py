@@ -78,28 +78,6 @@ def load_simplices(path: str) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_listing(simplices, n_vertices: int, path: str) -> None:
-    """Reject a simplex listing that is not a complex on the n_vertices points.
-
-    Each simplex must be a strictly increasing tuple of point indices, and
-    every facet of a listed simplex must be listed too.
-    """
-    members = set(simplices)
-    for simplex in simplices:
-        if list(simplex) != sorted(set(simplex)):
-            raise ValueError(f"{path}: simplex {simplex} is not strictly increasing")
-        if simplex[0] < 0 or simplex[-1] >= n_vertices:
-            raise ValueError(
-                f"{path}: simplex {simplex} names a vertex outside 0..{n_vertices - 1}"
-            )
-        if len(simplex) == 1:
-            continue
-        for drop in range(len(simplex)):
-            facet = simplex[:drop] + simplex[drop + 1 :]
-            if facet not in members:
-                raise ValueError(f"{path}: simplex {simplex} is listed without its face {facet}")
-
-
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
@@ -137,8 +115,10 @@ def cmd_filtrate(args) -> int:
     pair = _load_pair(args)
     if args.complex:
         simplices = load_simplices(args.complex)
-        _check_listing(simplices, pair.n_total, args.complex)
-        cplx = CoupledComplex(pair, simplices)
+        try:
+            cplx = CoupledComplex(pair, simplices)
+        except ValueError as exc:
+            raise ValueError(f"{args.complex}: {exc}") from None
     else:
         cplx = coupled_alpha_infty(pair)
     fc = coupled_filtration(cplx)
@@ -199,9 +179,7 @@ def cmd_compare(args) -> int:
 
 def cmd_scaling(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",")]
-    records = scaling_experiment(
-        n_list, trials=args.trials, dim=args.dim, seed=args.seed, workers=args.workers
-    )
+    records = scaling_experiment(n_list, trials=args.trials, dim=args.dim, seed=args.seed)
     fits = fit_linear(records)
     ratios = doubling_ratios(records)
     width = max(len(r.counts) for r in records)
@@ -305,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="worker processes for the trials")
     p.add_argument(
         "--with-timing", action="store_true",
         help="include wall times (breaks byte-identical reruns)",

@@ -97,6 +97,12 @@ class CoupledComplex:
     tuples in (dimension, lexicographic) order, each made once on demand.
     ``facet_index(k)`` locates the facets of the k-simplices among the
     (k-1)-simplices, once per dimension for every layer that needs it.
+
+    The constructor refuses, with ``ValueError``, rows that are not a
+    complex: a row that is not strictly increasing, a vertex below 0 (or,
+    with a pair, at or above ``pair.n_total``), a given ``rows[k]`` that is
+    not distinct and in lexicographic order, or a simplex listed without
+    one of its facets. Every later layer relies on this.
     """
 
     def __init__(self, pair: PointCloudPair | None, simplices=(), rows=None):
@@ -109,6 +115,25 @@ class CoupledComplex:
         self.rows: list[np.ndarray] = rows
         self._tuples: list[list[Simplex]] | None = None
         self._facet_index: dict[int, np.ndarray] = {}
+        n_vertices = pair.n_total if pair is not None else np.inf
+        outside = f"names a vertex outside 0..{n_vertices - 1}"
+        for r in rows:
+            step = np.diff(r, axis=0)  # each row exceeds the last at their first difference
+            lead = np.r_[1, step[np.arange(len(step)), (step != 0).argmax(axis=1)]]
+            for bad, why in (
+                ((r[:, 1:] <= r[:, :-1]).any(axis=1), "is not strictly increasing"),
+                ((r[:, 0] < 0) | (r[:, -1] >= n_vertices), outside),
+                (lead <= 0, "is repeated or out of lexicographic order"),
+            ):
+                if bad.any():
+                    raise ValueError(f"simplex {tuple(r[bad.argmax()].tolist())} {why}")
+        for k in range(1, len(rows)):
+            absent = np.argwhere(self.facet_index(k) < 0)
+            if len(absent):
+                i, drop = absent[0]
+                simplex = tuple(rows[k][i].tolist())
+                lacks = simplex[:drop] + simplex[drop + 1 :]
+                raise ValueError(f"complex not closed under faces: {simplex} lacks {lacks}")
 
     @property
     def simplices(self) -> tuple[Simplex, ...]:
@@ -135,7 +160,8 @@ class CoupledComplex:
 
     def facet_index(self, k: int) -> np.ndarray:
         """(m_k, k+1) array: entry (i, j) is the position in ``rows[k-1]`` of
-        ``rows[k][i]`` without its vertex j, or -1 if that facet is absent."""
+        ``rows[k][i]`` without its vertex j. An entry can be -1 (facet absent)
+        only while the constructor checks closure, which then refuses it."""
         if k not in self._facet_index:
             rows = self.rows[k]
             self._facet_index[k] = match(self.rows[k - 1], facets(rows)).reshape(len(rows), k + 1)

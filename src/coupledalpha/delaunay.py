@@ -72,11 +72,10 @@ class Triangulation:
     cells have m+1 vertices.
     """
 
-    points: np.ndarray
     cells: tuple[tuple[int, ...], ...]
 
 
-def _prepare(points) -> tuple[np.ndarray, np.ndarray, int]:
+def _prepare(points) -> tuple[np.ndarray, int]:
     pts = as_point_array(points)
     n = pts.shape[0]
     if n >= 2:
@@ -90,8 +89,7 @@ def _prepare(points) -> tuple[np.ndarray, np.ndarray, int]:
                 best, i, j = dist2.flat[at], start + at // n, at % n
         if float(best) <= EPS * EPS:
             raise DegenerateInput(f"points {i} and {j} coincide within tolerance")
-    coords, rank = _hull_coordinates(pts)
-    return pts, coords, rank
+    return _hull_coordinates(pts)
 
 
 def delaunay_bruteforce(points) -> Triangulation:
@@ -103,10 +101,10 @@ def delaunay_bruteforce(points) -> Triangulation:
     circumsphere of an otherwise empty sphere raises
     ``AmbiguousTriangulation``.
     """
-    pts, coords, rank = _prepare(points)
+    coords, rank = _prepare(points)
     n = coords.shape[0]
     if rank == 0:
-        return Triangulation(pts, ())
+        return Triangulation(())
     cells = []
     for combo in itertools.combinations(range(n), rank + 1):
         sphere = _circumsphere(coords[list(combo)])
@@ -123,7 +121,7 @@ def delaunay_bruteforce(points) -> Triangulation:
                 f"point {int(on[0])} lies on the circumsphere of candidate cell {combo}"
             )
         cells.append(combo)
-    return Triangulation(pts, tuple(sorted(cells)))
+    return Triangulation(tuple(sorted(cells)))
 
 
 class _CellStore:
@@ -376,8 +374,8 @@ def delaunay_incremental(points) -> Triangulation:
     a circumsphere computation; the result is verified from the stored
     spheres and planes before returning.
     """
-    pts, coords, rank = _prepare(points)
+    coords, rank = _prepare(points)
     if rank == 0:
-        return Triangulation(pts, ())
+        return Triangulation(())
     store = _bowyer_watson(coords)
-    return Triangulation(pts, tuple(_verify_delaunay(coords, store)))
+    return Triangulation(tuple(_verify_delaunay(coords, store)))

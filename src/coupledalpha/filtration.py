@@ -22,10 +22,11 @@ a common point. Values are computed top-down:
   vertices. For a pure simplex this degenerates to the classical
   one-ball Gabriel test against its own cloud. It runs as array
   comparisons over (facet, coface) rows, one per dropped vertex of each
-  coface, read from the complex's ``facet_index`` (which the boundary
-  matrix reads too). A simplex that passes against every coface keeps
-  its relaxed value, anything else inherits the minimum over its
-  cofaces, scattered with ``np.minimum.at``.
+  coface, read from the complex's ``facet_index``: the complex filled it
+  when it checked its own closure, so every facet is found, and the
+  boundary matrix reads it too. A simplex that passes against every
+  coface keeps its relaxed value, anything else inherits the minimum
+  over its cofaces, scattered with ``np.minimum.at``.
 
 Vertices get value 0 and values are monotone along face inclusions by
 construction. A simplex without cofaces starts from ``math.inf``, the
@@ -165,13 +166,10 @@ def _gabriel_walk(cplx: CoupledComplex):
         center, radius_x, radius_y, _ = _relaxed_batch(points, n_x, rows)
         min_coface = np.full(len(rows), math.inf)
         if above is not None:
-            # Facet j of a coface drops its vertex j; facets absent from the
-            # complex are skipped.
+            # Facet j of a coface drops its vertex j; the complex holds every facet.
             cofaces, coface_value = above
-            facet = cplx.facet_index(k + 1).ravel()
-            found = facet >= 0
-            facet, extra = facet[found], cofaces.ravel()[found]
-            np.minimum.at(min_coface, facet, np.repeat(coface_value, k + 2)[found])
+            facet, extra = cplx.facet_index(k + 1).ravel(), cofaces.ravel()
+            np.minimum.at(min_coface, facet, np.repeat(coface_value, k + 2))
             # Coupled Gabriel test: every coface vertex stays outside the open
             # ball of its own cloud. A cloud the simplex lacks has radius 0,
             # so a pure simplex gets the classical Gabriel test.
@@ -187,12 +185,12 @@ def _gabriel_walk(cplx: CoupledComplex):
 def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
     """Relaxed centers, radii and cases of the simplices ``rows``, batched per type.
 
-    ``rows`` is an (m, k+1) array of sorted global vertex indices, X ones
-    first. Rows are grouped by their X count and each group is solved in
-    stacked bisector solves: pure rows shifted to their first vertex,
-    mixed rows shifted to their centroid, with the X and Y candidates
-    sharing one factorization and the circumsphere solved only where
-    neither radius dominates. Returns ``(center, radius_x, radius_y, case)``
+    ``rows`` is an (m, k+1) array of sorted global vertex indices, so X
+    ones come first. Rows are grouped by their X count and each group is
+    solved in stacked bisector solves: pure rows shifted to their first
+    vertex, mixed rows shifted to their centroid, with the X and Y
+    candidates sharing one factorization and the circumsphere solved only
+    where neither radius dominates. Returns ``(center, radius_x, radius_y, case)``
     of shapes (m, d), (m,), (m,), (m,); ``case`` holds the index into
     ``CASES`` of the candidate that won (a pure row is dominated by its
     own cloud).
@@ -203,14 +201,11 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
         raise DimensionOverflow(
             f"{size} vertices exceed the maximum simplex size {dim + 2} in R^{dim}"
         )
-    in_x = rows < n_x
-    if (in_x[:, 1:] > in_x[:, :-1]).any():
-        raise ValueError("simplex rows must list X vertices before Y vertices")
     center = np.empty((m, dim))
     radius_x = np.zeros(m)
     radius_y = np.zeros(m)
     case = np.empty(m, dtype=np.intp)
-    counts = in_x.sum(axis=1)
+    counts = (rows < n_x).sum(axis=1)
     for n_qx in np.unique(counts).tolist():
         sel = np.flatnonzero(counts == n_qx)
         pts = points[rows[sel]]  # (g, size, dim)

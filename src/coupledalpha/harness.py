@@ -9,7 +9,6 @@ constants, so the harness fits slopes and doubling ratios instead.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,34 +62,17 @@ def run_trial(n: int, trial: int, dim: int, seed: int) -> ScalingRecord:
 
 
 def scaling_experiment(
-    n_list,
-    trials: int = 10,
-    dim: int = 2,
-    seed: int = 0,
-    workers: int = 1,
+    n_list, trials: int = 10, dim: int = 2, seed: int = 0
 ) -> list[ScalingRecord]:
-    """Scaling records for every (n, trial), ordered by (n, trial).
-
-    ``workers`` > 1 runs trials in up to that many separate processes.
-    Results are identical either way.
-    """
+    """Scaling records for every (n, trial), ordered by (n, trial)."""
     n_list = [int(n) for n in n_list]
     if sorted(n_list) != n_list:
         raise ValueError("intensities must be ascending")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    jobs = [(n, trial, dim, seed) for n in n_list for trial in range(trials)]
-    size = min(workers, len(jobs))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            records = list(pool.map(run_trial, *zip(*jobs)))
-    else:
-        records = [run_trial(*job) for job in jobs]
-    return records
+    return [run_trial(n, trial, dim, seed) for n in n_list for trial in range(trials)]
 
 
 def mean_counts(records: list[ScalingRecord]) -> dict[int, np.ndarray]:

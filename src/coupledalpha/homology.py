@@ -30,17 +30,14 @@ def boundary_matrix(fc: FilteredComplex) -> tuple[list[np.ndarray], list[np.ndar
 
     ``order[k]`` lists the indices of ``fc.cplx.rows[k]`` in filtration order;
     row j of ``columns[k]`` holds the facet ranks of the j-th of them. Refuses
-    a filtration that is not closed under faces or not monotone."""
+    a filtration that is not monotone; the complex itself is closed under
+    faces by construction."""
     dim, index = fc.order()
     order = [index[dim == k] for k in range(len(fc.levels))]
     columns = [np.zeros((len(order[0]), 0), dtype=np.intp)] if order else []
     for k in range(1, len(fc.levels)):
         rows, below = fc.cplx.rows[k], fc.cplx.rows[k - 1]
         facet = fc.cplx.facet_index(k)
-        if (facet < 0).any():
-            i, drop = np.argwhere(facet < 0)[0]
-            simplex, lacks = tuple(rows[i].tolist()), tuple(np.delete(rows[i], drop).tolist())
-            raise ValueError(f"complex not closed under faces: {simplex} lacks {lacks}")
         late = np.argwhere(fc.levels[k - 1][facet] > fc.levels[k][:, None])
         if len(late):
             i, f = late[0][0], facet[tuple(late[0])]

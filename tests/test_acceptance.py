@@ -213,7 +213,7 @@ def test_acceptance_6_top_betti_numbers_vanish(report):
 
 def test_acceptance_7_linear_size_scaling(report):
     start = time.perf_counter()
-    records = scaling_experiment([100, 200, 400], trials=10, dim=2, seed=0, workers=1)
+    records = scaling_experiment([100, 200, 400], trials=10, dim=2, seed=0)
     elapsed = time.perf_counter() - start
     ratios = doubling_ratios(records)
     seen = []

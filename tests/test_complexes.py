@@ -10,6 +10,7 @@ from coupledalpha import (
     coupled_alpha_infty,
     lift_clouds,
 )
+from coupledalpha.filtration import FilteredComplex
 from coupledalpha.oracle import feasibility, feasibility_witness
 from conftest import alpha_infty, nerve_from_feasibility, random_pair, side, split_coords
 
@@ -118,6 +119,45 @@ def test_round_trip_through_explicit_simplices(rng):
     rebuilt = CoupledComplex(pair, list(cplx))
     assert set(rebuilt) == set(cplx)
     assert rebuilt.counts() == cplx.counts()
+
+
+# Listings that are not a complex on the 3 points of ``three_points()``, with
+# the refusal of ``CoupledComplex``. A bare filtration has no pair; there
+# vertex 7 is refused because (0, 7) is listed without its face (7,).
+BAD_LISTINGS = {
+    "negative index": ([(-1,), (0,), (-1, 0)], r"\(-1,\) names a vertex outside 0\.\.2"),
+    "index beyond the points": (
+        [(0,), (1,), (2,), (0, 7)],
+        r"\(0, 7\) names a vertex outside 0\.\.2",
+    ),
+    "vertices out of order": ([(0,), (1,), (1, 0)], r"\(1, 0\) is not strictly increasing"),
+    "triangle without an edge": (
+        [(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)],
+        r"not closed under faces: \(0, 1, 2\) lacks \(1, 2\)",
+    ),
+}
+
+
+def three_points():
+    return PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[1.0, 1.0]], check=False)
+
+
+@pytest.mark.parametrize("listing,message", list(BAD_LISTINGS.values()), ids=list(BAD_LISTINGS))
+def test_constructor_refuses_non_complex(listing, message):
+    top = max(map(len, listing))
+    rows = [np.array([s for s in listing if len(s) == k]).reshape(-1, k) for k in range(1, top + 1)]
+    with pytest.raises(ValueError, match=message):
+        CoupledComplex(three_points(), listing)
+    with pytest.raises(ValueError, match=message):
+        CoupledComplex(three_points(), rows=rows)
+    with pytest.raises(ValueError):
+        FilteredComplex({s: float(len(s) - 1) for s in listing})
+
+
+@pytest.mark.parametrize("vertices", [[[0], [2], [1]], [[0], [1], [1], [2]]], ids=["order", "repeat"])
+def test_given_rows_must_be_distinct_and_ordered(vertices):
+    with pytest.raises(ValueError, match=r"\(1,\) is repeated or out of lexicographic order"):
+        CoupledComplex(three_points(), rows=[np.array(vertices)])
 
 
 def test_feasibility_matches_membership_at_infinity(rng):

@@ -1,6 +1,7 @@
 """The package's top-level names: what the README, CLI and benchmark import."""
 
 import inspect
+from pathlib import Path
 
 import coupledalpha
 from coupledalpha.delaunay import delaunay_bruteforce
@@ -45,3 +46,11 @@ def test_no_callable_takes_a_tolerance():
         assert "eps" not in params, func
     pair = coupledalpha.PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]])
     assert not hasattr(pair, "eps")
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out  # the H1 intervals it prints
