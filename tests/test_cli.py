@@ -269,10 +269,11 @@ def test_scaling_rerun_byte_identical(capsys):
 
 
 
-def test_workers_is_not_an_option(capsys):
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_workers_is_not_an_option(capsys, workers):
     # Trials run in this process; an unknown option is a usage error.
     with pytest.raises(SystemExit) as exc:
-        main(["scaling", "--n-list", "8", "--trials", "1", "--workers", "2"])
+        main(["scaling", "--n-list", "8", "--trials", "1", "--workers", workers])
     assert exc.value.code == 2
     capsys.readouterr()
 
