@@ -32,7 +32,11 @@ def sample_poisson(n: float, dim: int, seed) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalingRecord:
-    """Simplex counts of one sampled instance; counts[k] is the k-count."""
+    """Simplex counts of one sampled instance; counts[k] is the k-count.
+
+    ``run_trial`` pads counts with zeros to d + 2 entries (k = 0..d+1), so
+    the records of one experiment share one width.
+    """
 
     n: int
     trial: int
@@ -80,14 +84,7 @@ def mean_counts(records: list[ScalingRecord]) -> dict[int, np.ndarray]:
     by_n: dict[int, list[tuple[int, ...]]] = {}
     for rec in records:
         by_n.setdefault(rec.n, []).append(rec.counts)
-    width = max(len(c) for counts in by_n.values() for c in counts)
-    out = {}
-    for n, counts in sorted(by_n.items()):
-        arr = np.zeros((len(counts), width))
-        for i, c in enumerate(counts):
-            arr[i, : len(c)] = c
-        out[n] = arr.mean(axis=0)
-    return out
+    return {n: np.array(counts, dtype=float).mean(axis=0) for n, counts in sorted(by_n.items())}
 
 
 def fit_linear(records: list[ScalingRecord]) -> dict[int, tuple[float, float]]:

@@ -50,6 +50,9 @@ class TooLarge(ValueError):
     """Input exceeds the size cap of a brute-force oracle."""
 
 
+_TOL = 1e-10
+_MAX_SWEEPS = 100_000
+_CECH_CAP = 16
 _RELAX = 1.9
 _BLOCK = 24
 _WINDOW = 16
@@ -138,11 +141,7 @@ def _worst_violation(c, planes, balls, rng) -> float:
 
 
 def feasibility_witness(
-    simplex: Simplex,
-    pair: PointCloudPair,
-    radius: float = math.inf,
-    tol: float = 1e-10,
-    max_sweeps: int = 100_000,
+    simplex: Simplex, pair: PointCloudPair, radius: float = math.inf
 ) -> tuple[bool, np.ndarray | None]:
     """Like ``feasibility`` but also returns the feasible point found.
 
@@ -163,7 +162,7 @@ def feasibility_witness(
     scale = 1.0 + float(np.abs(pair.points).max(initial=0.0))
     if math.isfinite(radius):
         scale += radius
-    feas_tol = tol * scale
+    feas_tol = _TOL * scale
 
     reduced = _reduced_constraints(simplex, pair, radius, feas_tol)
     if reduced is None:
@@ -179,7 +178,7 @@ def feasibility_witness(
         return False, None
 
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         history = [c[:]]
         for _ in range(_BLOCK):
             worst = 0.0
@@ -224,19 +223,13 @@ def feasibility_witness(
                     ):
                         c = cand
     raise IterationLimit(
-        f"no verdict for {simplex} at radius {radius} after {max_sweeps} sweeps"
+        f"no verdict for {simplex} at radius {radius} after {_MAX_SWEEPS} sweeps"
     )
 
 
-def feasibility(
-    simplex: Simplex,
-    pair: PointCloudPair,
-    radius: float = math.inf,
-    tol: float = 1e-10,
-    max_sweeps: int = 100_000,
-) -> bool:
+def feasibility(simplex: Simplex, pair: PointCloudPair, radius: float = math.inf) -> bool:
     """Do the restricted Voronoi balls of the simplex share a point at r?"""
-    ok, _ = feasibility_witness(simplex, pair, radius, tol, max_sweeps)
+    ok, _ = feasibility_witness(simplex, pair, radius)
     return ok
 
 
@@ -272,9 +265,7 @@ def value_by_bisection(
     return 0.5 * (lo + hi)
 
 
-def cech_filtration(
-    points, max_dim: int | None = None, cap: int = 16
-) -> FilteredComplex:
+def cech_filtration(points, max_dim: int | None = None) -> FilteredComplex:
     """Cech filtration of a cloud: every subset valued by its enclosing ball.
 
     Exponential in the input size, hence the hard cap. ``max_dim`` bounds
@@ -285,8 +276,8 @@ def cech_filtration(
     n, d = pts.shape
     if n == 0:
         return FilteredComplex({})
-    if n > cap:
-        raise TooLarge(f"{n} points exceed the brute-force cap {cap}")
+    if n > _CECH_CAP:
+        raise TooLarge(f"{n} points exceed the brute-force cap {_CECH_CAP}")
     if max_dim is None:
         max_dim = d + 1
     values: dict[Simplex, float] = {}
@@ -304,20 +295,16 @@ def cech_filtration(
 
 
 def diagram_discrepancy_vs_reference(
-    pair: PointCloudPair,
-    tol: float = diagram_tolerance_default,
-    dims: list[int] | None = None,
+    pair: PointCloudPair, tol: float = diagram_tolerance_default
 ) -> tuple[bool, float]:
     """Coupled-filtration diagram vs the brute-force diagram of the union.
 
     Both filtrations cover the same union of balls, so their diagrams must
-    agree. Compared in dimensions 0..d-1 by default. Returns the verdict
+    agree. Compared in dimensions 0..d-1. Returns the verdict
     at ``tol`` and the worst endpoint discrepancy (``inf`` on an interval
     count mismatch).
     """
-    if dims is None:
-        dims = list(range(pair.dim))
     fast = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
     reference = persistence_diagram(cech_filtration(pair.points))
-    worst = diagram_discrepancy(fast, reference, dims, min_length=tol)
+    worst = diagram_discrepancy(fast, reference, range(pair.dim), min_length=tol)
     return worst <= tol, worst

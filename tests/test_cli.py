@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,10 +291,52 @@ def test_scaling_rejects_dim_and_trials_below_one(capsys, option, value):
     assert err == f"error: {option[2:]} must be at least 1, got {value}\n"
 
 
-def test_output_file_matches_stdout(capsys, tmp_path, clouds):
-    x, y = clouds
-    out_path = tmp_path / "rows.csv"
-    code, _, _ = run(capsys, ["filtrate", x, y, "--output", str(out_path)])
-    assert code == 0
-    _, streamed, _ = run(capsys, ["filtrate", x, y])
-    assert out_path.read_text() == streamed
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command", ["build", "filtrate", "diagram", "compare", "scaling", "check"]
+)
+def test_output_file_matches_stdout(capsys, tmp_path, clouds, command, fmt):
+    inputs = ["--n-list", "8,16", "--trials", "1"] if command == "scaling" else list(clouds)
+    argv = [command, *inputs, "--format", fmt]
+    out_path = tmp_path / "rows.txt"
+    code, written, _ = run(capsys, argv + ["--output", str(out_path)])
+    streamed_code, streamed, _ = run(capsys, argv)
+    assert code == streamed_code == 0
+    assert written == ""
+    assert streamed and out_path.read_text() == streamed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["filtrate", "--max-radius", "nan"], ["compare", "--tolerance", "nan"]],
+    ids=["max-radius", "tolerance"],
+)
+def test_nan_option_is_a_usage_error(capsys, clouds, argv):
+    # Every interval fails `length > nan` and no value is `<= nan`, so a NaN
+    # bound would silently compute on nothing; infinity stays allowed.
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *clouds, *argv[1:]])
+    assert exc.value.code == 2
+    assert "NaN is not allowed" in capsys.readouterr().err
+    assert main([argv[0], *clouds, argv[1], "inf"]) == 0
+    capsys.readouterr()
+
+
+def test_python_m_entry_point(capsys, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    solo = tmp_path / "solo.csv"
+    solo.write_text("0.0,0.0\n3.0,0.0\n")
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "coupledalpha", *argv], capture_output=True, text=True, env=env
+        )
+
+    done = module("diagram", str(solo))
+    code, out, _ = run(capsys, ["diagram", str(solo)])
+    assert done.returncode == code == 0
+    assert done.stdout == out == "0,0.0,1.5\n0,0.0,inf\n"
+    missing = module("diagram", str(tmp_path / "absent.csv"))
+    assert missing.returncode == 1 and missing.stderr.startswith("error:")
+    assert module("bogus").returncode == 2
