@@ -150,8 +150,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    n_list = [int(tok) for tok in args.n_list.split(",")]
-    records = scaling_experiment(n_list, trials=args.trials, dim=args.dim, seed=args.seed)
+    records = scaling_experiment(args.n_list, trials=args.trials, dim=args.dim, seed=args.seed)
     fits = fit_linear(records)
     ratios = doubling_ratios(records)
     timing = args.with_timing
@@ -208,6 +207,22 @@ def _not_nan(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tolerance`` value: not NaN and not negative, so that a PASS is possible."""
+    value = _not_nan(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers, as ``--n-list`` takes them."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coupledalpha",
@@ -234,12 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", cmd_compare, "coupled vs brute-force reference diagrams", y_required=True
     )
     p.add_argument(
-        "--tolerance", type=_not_nan, default=diagram_tolerance_default,
+        "--tolerance", type=_tolerance, default=diagram_tolerance_default,
         help="max allowed endpoint discrepancy",
     )
 
     p = sub.add_parser("scaling", help="Poisson scaling table")
-    p.add_argument("--n-list", default="100,200,400", help="comma-separated intensities")
+    p.add_argument(
+        "--n-list", type=_int_list, default="100,200,400", help="comma-separated intensities"
+    )
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

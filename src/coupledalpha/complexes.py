@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._rows import facets, match, unique
-from .delaunay import delaunay_incremental
+from .delaunay import _delaunay_cells
 from .geometry import (
     DegenerateInput,
     GeneralPositionError,
@@ -193,7 +193,7 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
         points, what = lift_clouds(pair.x, pair.y), "lifted pair"
     else:
         points, what = pair.points, "cloud"
-    cells = np.array(delaunay_incremental(points).cells, dtype=np.int64)
+    cells = _delaunay_cells(points)
     # The triangulation works inside the affine hull: its cells have rank + 1 vertices.
     rank = cells.shape[1] - 1 if len(cells) else 0
     expected = min(pair.n_total - 1, points.shape[1])

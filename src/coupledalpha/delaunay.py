@@ -14,16 +14,19 @@ Points are inserted in a seeded random order (Amenta-Choi-Rote,
 "Incremental constructions con BRIO", 2003, without the rounds): a sweep
 in coordinate order walks along the hull and creates many short-lived
 cells. Each insertion is array work on its whole cavity: the boundary
-facets come from one sorted row match over the conflicting cells, the new
-cells get their circumspheres from stacked bisector solves (one for the
-finite cells, one for the cells at infinity), and the new cells at
-infinity their hull planes from one stacked complete QR. New cells take
+facets come from one sorted row match over the conflicting cells, and
+the new cells get their circumspheres and hull planes from one stacked
+square solve (``_certified_solve``; no QR per insertion). New cells take
 the rows of the cells the insertion killed before any new row, so the
 conflict scan reads about as many rows as there are live cells.
+
 The result is verified post hoc from the spheres and planes the insertion
-stored, as array checks over blocks of cells: every facet is shared by
-exactly two cells, every point lies inside every hull plane, and every
-finite cell's circumsphere is empty.
+stored, by facet pairs: every point is used, every facet is shared by
+exactly two cells, every point lies inside every hull plane, and at every
+interior facet each cell's circumsphere strictly excludes the other
+cell's opposite vertex. By the Delaunay lemma (Edelsbrunner, *Geometry
+and Topology for Mesh Generation*, 2001, ch. 1) these local tests make
+every circumsphere empty; ``_verify_delaunay`` gives the argument.
 
 Point sets whose affine hull is a proper flat of R^m (fewer than m+1
 points, or clouds lying in a common hyperplane, as lifted inputs do when
@@ -51,10 +54,11 @@ from .geometry import (
     DegenerateInput,
     GeometryError,
     RankDeficient,
-    _bisector_points,
+    _certified_solve,
     _circumsphere,
     _hull_coordinates,
     _sq_distance_blocks,
+    _svd_solve,
     as_point_array,
 )
 
@@ -146,8 +150,8 @@ class _CellStore:
 
     def __init__(self, coords: np.ndarray, interior: np.ndarray):
         n, m = coords.shape
-        self.coords = coords
-        self.interior = interior
+        # The interior point is row -1, so a hull row's vertex -1 indexes it.
+        self.points = np.vstack([coords, interior])
         self.side_tol = EPS * (1.0 + float(np.abs(coords).max()))
         capacity = 8 * n + 64
         self.verts = np.full((capacity, m + 1), -1, dtype=np.int64)
@@ -159,22 +163,50 @@ class _CellStore:
         self.free: list[int] = []
 
     def add(self, cells: np.ndarray) -> None:
-        """Store a (g, m+1) block of sorted cells with their spheres and planes."""
-        g, m = cells.shape[0], self.coords.shape[1]
+        """Store a (g, m+1) block of sorted cells with their spheres and planes.
+
+        Every row is one square system ``a x = r`` of one stacked
+        ``_certified_solve``. A finite row takes the bisector rows
+        ``a = [v_i - v_0]``, ``r = |v_i - v_0|^2 / 2``, and its circumcentre
+        is ``v_0 + x``. A hull row (-1,) + f takes the edges of f and the
+        interior point, ``a = [f_i - f_0; interior - f_0]`` with last entry
+        ``r = 0``, and a second right-hand side e_m whose solution w is
+        orthogonal to f with ``w . (interior - f_0) = 1``: ``-w / |w|`` is
+        the outward unit normal, ``1 / |w|`` the interior's distance from
+        the facet's hyperplane, and x projected onto that hyperplane the
+        facet's circumcentre. Rows without a certificate take the SVD of
+        ``_svd_solve`` and its rank rule.
+        """
+        g, m = cells.shape[0], self.points.shape[1]
         hull = cells[:, 0] == -1
-        centers = np.empty((g, m))
-        radii2 = np.empty(g)
+        # Put a hull row's -1 (the interior point) last, behind its facet.
+        pts = self.points[np.where(hull[:, None], np.roll(cells, -1, axis=1), cells)]
+        a = pts[:, 1:] - pts[:, :1]
+        rhs = np.zeros((2, g, m))
+        rhs[0] = 0.5 * np.einsum("gij,gij->gi", a, a)
+        rhs[0, hull, -1] = 0.0
+        rhs[1, :, -1] = 1.0
+        (x, w), certified = _certified_solve(a, rhs)
+        if not certified.all():
+            doubtful = ~certified
+            x[doubtful], w[doubtful] = self._svd(cells[doubtful], a[doubtful], rhs[:, doubtful])
         normals = np.zeros((g, m))
         offsets = np.zeros(g)
-        for sel, infinite in ((~hull, 0), (hull, 1)):
-            if not sel.any():
-                continue
-            pts = self.coords[cells[sel, infinite:]]  # (h, k, m): finite vertices per row
-            center = self._circumcenters(cells[sel], pts)
-            centers[sel] = center
-            radii2[sel] = np.linalg.norm(center - pts[:, 0], axis=1) ** 2
-            if infinite:
-                normals[sel], offsets[sel] = self._hull_planes(cells[sel], pts)
+        if hull.any():
+            w = w[hull]
+            length = np.linalg.norm(w, axis=1)
+            flat = 1.0 / length <= self.side_tol
+            if flat.any():
+                raise AmbiguousTriangulation(
+                    f"cannot orient hull cell {tuple(cells[hull][flat.argmax()].tolist())}; "
+                    "input degenerate within tolerance"
+                )
+            along = np.einsum("ij,ij->i", x[hull], w) / length**2
+            x[hull] -= along[:, None] * w
+            normals[hull] = -w / length[:, None]
+            offsets[hull] = np.einsum("ij,ij->i", normals[hull], pts[hull, 0])
+        centers = pts[:, 0] + x
+        radii2 = np.linalg.norm(centers - pts[:, 0], axis=1) ** 2
 
         # Refill the most recently killed rows first, then append.
         cut = max(len(self.free) - g, 0)
@@ -196,39 +228,21 @@ class _CellStore:
         self.offsets[rows] = offsets
         self.count += fresh
 
-    def _circumcenters(self, cells: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Circumcenters of the point rows ``pts`` (h, k, m), in one stacked solve."""
+    @staticmethod
+    def _svd(cells: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``_svd_solve`` of the uncertified rows, naming the first degenerate cell."""
         try:
-            return _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+            return _svd_solve(a, rhs)
         except RankDeficient:
-            # Name the first degenerate cell; only a refused insertion runs this loop.
-            for cell, one in zip(cells.tolist(), pts):
+            # Only a refused insertion runs this loop.
+            for cell, one, r in zip(cells.tolist(), a, rhs[0]):
                 try:
-                    _bisector_points(one[None, :1], one[None, 1:], one[None, 0])
+                    _svd_solve(one[None], r[None])
                 except RankDeficient:
                     raise AmbiguousTriangulation(
                         f"cell {tuple(cell)} is affinely degenerate within tolerance"
                     ) from None
             raise
-
-    def _hull_planes(self, cells: np.ndarray, pts: np.ndarray):
-        """Unit outward normals and offsets of the hull cells with finite vertices ``pts``."""
-        if pts.shape[2] == 1:
-            normals = np.ones((len(pts), 1))
-        else:
-            # The m-1 edges span the facet's hyperplane; the last column of a
-            # complete QR of them as columns is a unit vector normal to it.
-            edges = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
-            normals = np.linalg.qr(edges, mode="complete")[0][:, :, -1]
-        ref = np.einsum("ij,ij->i", normals, self.interior - pts[:, 0])
-        flat = np.abs(ref) <= self.side_tol
-        if flat.any():
-            raise AmbiguousTriangulation(
-                f"cannot orient hull cell {tuple(cells[flat.argmax()].tolist())}; "
-                "input degenerate within tolerance"
-            )
-        normals[ref > 0.0] *= -1.0
-        return normals, np.einsum("ij,ij->i", normals, pts[:, 0])
 
     def kill(self, rows) -> None:
         self.radii2[rows] = -np.inf
@@ -246,13 +260,6 @@ class _CellStore:
 
     def live(self) -> np.ndarray:
         return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
-
-
-def _distances(centers: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Distances from each center to every point, as a (centers, points) array."""
-    diff = coords[None, :, :] - centers[:, None, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.sqrt(dist2, out=dist2)
 
 
 def _initial_simplex(coords: np.ndarray, order: np.ndarray) -> list[int]:
@@ -306,17 +313,36 @@ def _bowyer_watson(coords: np.ndarray) -> _CellStore:
     return store
 
 
-def _verify_delaunay(coords: np.ndarray, store: _CellStore) -> list[tuple[int, ...]]:
+def _verify_delaunay(coords: np.ndarray, store: _CellStore) -> np.ndarray:
     """Check the final cells against the spheres and planes stored for them.
 
     Requires every input point to be used, every facet to be shared by
-    exactly two cells (cells at infinity included, so the finite cells
-    tile the convex hull), every point to lie on the inner side of each
-    hull cell's plane, and every finite cell's circumsphere to be empty.
-    A non-member on a circumsphere within tolerance is a genuine ambiguity
-    of the input. The plane and sphere checks run over blocks of cells
-    against all points, at most about ``_BLOCK_FLOATS`` coordinate
-    differences at a time. Returns the finite cells, sorted.
+    exactly two cells (cells at infinity included), every point to lie on
+    the inner side of each hull cell's plane, and, at every facet of two
+    finite cells, each cell's circumsphere to exclude the other cell's
+    opposite vertex by more than ``EPS (1 + r)``. A vertex on a
+    circumsphere within that tolerance is a genuine ambiguity of the input.
+    The plane check runs over blocks of hull cells against all points, at
+    most about ``_BLOCK_FLOATS`` coordinate differences at a time; the
+    sphere check reads the two sides of each facet from the same facet sort
+    as the count. Returns the finite cells, lexsorted.
+
+    These local tests suffice. The spheres of two cells across a facet
+    both pass through the facet's vertices, so the difference of a point's
+    powers to them is affine and vanishes on the facet's hyperplane; with
+    each opposite vertex strictly outside the other cell's sphere that
+    difference has opposite signs at the two opposite vertices, so the two
+    cells lie on opposite sides of their facet and the cells tile the hull
+    without folds. A triangulation that is locally Delaunay at every
+    interior facet is Delaunay (the Delaunay lemma), so every circumsphere
+    is empty. Then a point q exactly on the sphere of a cell has power 0
+    there and at least 0 everywhere, and along a straight walk from that
+    cell to a cell with vertex q its power never grows (lifted to the
+    paraboloid, the cells' planes are the faces of a convex lower hull), so
+    it is still 0 at the cell entered last before q, and the facet opposite
+    q there refuses it. Each local test is one entry of
+    a test of every finite cell against every point, computed with the
+    same arithmetic, so nothing that such a scan accepts is refused here.
     """
     rows = store.live()
     cells = store.verts[rows]
@@ -329,10 +355,16 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore) -> list[tuple[int, .
     used[finite] = True
     if not used.all():
         raise AmbiguousTriangulation("triangulation does not use every point")
-    if (unique(facets(cells))[1] != 2).any():
+    # Facet k is cell k // (m + 1) without its vertex cells.flat[k]. Once
+    # sorted, a facet shared by exactly two cells fills places 2i and 2i + 1.
+    faces = facets(cells)
+    order = np.lexsort(faces.T[::-1])
+    faces = faces[order]
+    same = (faces[1:] == faces[:-1]).all(axis=1)
+    if len(faces) % 2 or not same[::2].all() or same[1::2].any():
         raise AmbiguousTriangulation("a facet is not shared by exactly two cells")
-    step = max(1, _BLOCK_FLOATS // max(n * m, 1))
 
+    step = max(1, _BLOCK_FLOATS // max(n * m, 1))
     hull_rows = rows[hull]
     for start in range(0, len(hull_rows), step):
         block = hull_rows[start : start + step]
@@ -342,27 +374,38 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore) -> list[tuple[int, .
             cell = tuple(store.verts[block[outside.argmax()]].tolist())
             raise AmbiguousTriangulation(f"a point lies outside hull cell {cell}")
 
-    finite_rows = rows[~hull]
-    for start in range(0, len(finite_rows), step):
-        block = finite_rows[start : start + step]
-        dist = _distances(store.centers[block], coords)
-        np.put_along_axis(dist, store.verts[block], np.inf, axis=1)
-        radius = np.sqrt(store.radii2[block])[:, None]
-        tol = EPS * (1.0 + radius)
-        inside = dist < radius - tol
-        on = np.abs(dist - radius) <= tol
-        bad = inside.any(axis=1) | on.any(axis=1)
-        if bad.any():
-            first = int(bad.argmax())
-            cell = tuple(store.verts[block[first]].tolist())
-            if inside[first].any():
-                raise AmbiguousTriangulation(
-                    f"a point lies strictly inside the circumsphere of cell {cell}"
-                )
+    # Each side's finite cell against the finite vertex opposite the other side.
+    owner = order // (m + 1)
+    opposite = cells.reshape(-1)[order].reshape(-1, 2)[:, ::-1].reshape(-1)
+    tested = ~hull[owner] & (opposite != -1)
+    owner, opposite = owner[tested], opposite[tested]
+    diff = coords[opposite] - store.centers[rows[owner]]
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    dist = np.sqrt(dist2, out=dist2)
+    radius = np.sqrt(store.radii2[rows[owner]])
+    tol = EPS * (1.0 + radius)
+    inside = dist < radius - tol
+    on = np.abs(dist - radius) <= tol
+    bad = inside | on
+    if bad.any():
+        # Name the first refused cell in row order, as a scan over the cells would.
+        first = owner[bad].min()
+        cell = tuple(cells[first].tolist())
+        if (inside & (owner == first)).any():
             raise AmbiguousTriangulation(
-                f"point {int(on[first].argmax())} lies on the circumsphere of cell {cell}"
+                f"a point lies strictly inside the circumsphere of cell {cell}"
             )
-    return sorted(map(tuple, finite.tolist()))
+        point = int(opposite[on & (owner == first)].min())
+        raise AmbiguousTriangulation(f"point {point} lies on the circumsphere of cell {cell}")
+    return finite[np.lexsort(finite.T[::-1])]
+
+
+def _delaunay_cells(points) -> np.ndarray:
+    """The verified cells of ``delaunay_incremental`` as a lexsorted (k, rank + 1) int array."""
+    coords, rank = _prepare(points)
+    if rank == 0:
+        return np.zeros((0, 1), dtype=np.int64)
+    return _verify_delaunay(coords, _bowyer_watson(coords))
 
 
 def delaunay_incremental(points) -> Triangulation:
@@ -374,8 +417,4 @@ def delaunay_incremental(points) -> Triangulation:
     a circumsphere computation; the result is verified from the stored
     spheres and planes before returning.
     """
-    coords, rank = _prepare(points)
-    if rank == 0:
-        return Triangulation(())
-    store = _bowyer_watson(coords)
-    return Triangulation(tuple(_verify_delaunay(coords, store)))
+    return Triangulation(tuple(map(tuple, _delaunay_cells(points).tolist())))

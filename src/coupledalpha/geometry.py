@@ -8,10 +8,12 @@ shape ``(n, d)``.
 There is no exact arithmetic. Predicates share one absolute/relative
 tolerance, the constant ``EPS``, which every layer reads from here and no
 caller sets; rank decisions use the tighter ``RANK_RCOND`` cutoff.
-There are two bisector solves. The fast paths use ``_bisector_points``:
+There are two bisector solves. The fast paths use ``_certified_solve``:
 stacked systems solved by LU or QR, where a condition-number certificate
 decides which solutions stand and only the rest pay for the SVD that
-makes the rank decision. The brute-force routes (``_circumsphere``, and
+makes the rank decision. The relaxed centers reach it through
+``_bisector_points``; the triangulation's cell store hands it square
+systems only, so no QR runs per insertion. The brute-force routes (``_circumsphere``, and
 through it ``min_enclosing_ball``, the general-position check and the
 brute-force Delaunay) solve one system at a time by lstsq, so that they
 stay arithmetically independent of the fast paths.
@@ -137,7 +139,10 @@ def _certified_solve(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a square block): that bounds the 2-norm condition number, so the SVD
     would find every singular value above its cutoff with 100x to spare,
     the margin covering the round-off of the factorization. Nothing is
-    certified when LU meets an exact zero pivot.
+    certified when LU meets an exact zero pivot. Leading axes of ``r``
+    stack right-hand sides on one factorization: the triangulation's cell
+    store solves each square system for its bisector residuals and for the
+    last unit vector, whose solution is the last column of the inverse.
     """
     m, d = a.shape[-2:]
     if m == d:

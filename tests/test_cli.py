@@ -322,6 +322,34 @@ def test_nan_option_is_a_usage_error(capsys, clouds, argv):
     capsys.readouterr()
 
 
+def test_negative_tolerance_is_a_usage_error(capsys, clouds):
+    # No discrepancy is at most a negative bound, so compare would FAIL
+    # whatever the diagrams (0 stays allowed: test_compare_pass_and_fail_exit_codes).
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", *clouds, "--tolerance", "-1"])
+    assert exc.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_list", ["8,x", "8,,16", "", "8.5"])
+def test_malformed_n_list_is_a_usage_error(capsys, n_list):
+    with pytest.raises(SystemExit) as exc:
+        main(["scaling", "--n-list", n_list, "--trials", "1"])
+    assert exc.value.code == 2
+    assert "argument --n-list: invalid comma-separated int list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n_list,message",
+    [("16,8", "intensities must be ascending"), ("0,8", "intensity must be positive")],
+)
+def test_n_list_values_are_checked_by_the_experiment(capsys, n_list, message):
+    code, out, err = run(capsys, ["scaling", "--n-list", n_list, "--trials", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_python_m_entry_point(capsys, tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

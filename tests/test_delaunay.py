@@ -14,7 +14,7 @@ from coupledalpha import (
 )
 from coupledalpha.complexes import _closure
 from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay, delaunay_bruteforce
-from coupledalpha.geometry import _hull_coordinates
+from coupledalpha.geometry import _bisector_points, _hull_coordinates
 
 
 def test_single_triangle():
@@ -112,15 +112,26 @@ def test_single_point_and_empty():
     assert delaunay_incremental(np.zeros((0, 2))).cells == ()
 
 
-@pytest.mark.parametrize("dim,n", [(2, 300), (3, 100), (2, 1000), (3, 200)])
-def test_lifted_pairs_match_qhull(dim, n):
+def _qhull_cases():
+    for dim, n in [(2, 300), (3, 100), (2, 1000), (3, 200)]:
+        yield pytest.param(dim, n, 1012 if n == 1000 else 1000 + dim, 1.0, 0.0, id=f"{dim}-{n}")
+    # The spatial-200 benchmark shape at more seeds, and small planar pairs
+    # under x -> 100 x + 1e3.
+    for seed in range(1004, 1008):
+        yield pytest.param(3, 200, seed, 1.0, 0.0, id=f"3-200-seed{seed}")
+    for seed in range(1000, 1004):
+        yield pytest.param(2, 60, seed, 100.0, 1e3, id=f"2-60-affine-seed{seed}")
+
+
+@pytest.mark.parametrize("dim,n,seed,scale,shift", _qhull_cases())
+def test_lifted_pairs_match_qhull(dim, n, seed, scale, shift):
     # The brute-force oracle cannot reach this scale; Qhull can. Centering
     # spares Qhull the offset, and Delaunay cells are translation invariant.
     # Seed 1002 at 1000+1000 is refused by contract: point 1547 lies 1.19e-9
     # outside the circumsphere (radius 0.50) of cell (824, 914, 924, 1087),
     # within the tolerance EPS (1 + r) = 1.50e-9.
-    rng = np.random.default_rng(1012 if n == 1000 else 1000 + dim)
-    lifted = lift_clouds(rng.random((n, dim)), rng.random((n, dim)))
+    rng = np.random.default_rng(seed)
+    lifted = lift_clouds(scale * rng.random((n, dim)) + shift, scale * rng.random((n, dim)) + shift)
     qhull = Delaunay(lifted - lifted.mean(axis=0))
     expected = tuple(sorted(tuple(sorted(int(v) for v in s)) for s in qhull.simplices))
     assert delaunay_incremental(lifted).cells == expected
@@ -198,6 +209,39 @@ def test_store_refuses_an_affinely_degenerate_cell():
         store.add(np.array([[0, 1, 3], [0, 1, 2]]))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_store_solve_matches_bisector_and_qr_formulas(dim):
+    # One square solve per row gives the spheres and hull planes that the
+    # bisector solve and a complete QR of the facet edges give: finite rows
+    # solve the very same system, so they agree exactly.
+    rng = np.random.default_rng(3000 + dim)
+    lifted = lift_clouds(rng.random((60, dim)), rng.random((60, dim)))
+    store = _bowyer_watson(lifted)
+    rows = store.live()
+    hull = store.verts[rows, 0] == -1
+    pts = lifted[store.verts[rows[~hull]]]
+    centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+    assert np.array_equal(store.centers[rows[~hull]], centers)
+    assert np.array_equal(
+        store.radii2[rows[~hull]], np.linalg.norm(centers - pts[:, 0], axis=1) ** 2
+    )
+
+    rows = rows[hull]
+    facet = lifted[store.verts[rows, 1:]]
+    centers = _bisector_points(facet[:, :1], facet[:, 1:], facet[:, 0])
+    radii = np.linalg.norm(centers - facet[:, 0], axis=1)
+    edges = np.swapaxes(facet[:, 1:] - facet[:, :1], 1, 2)
+    normals = np.linalg.qr(edges, mode="complete")[0][:, :, -1]
+    # The centroid of the points lies inside the hull, so it orients every plane.
+    normals[np.einsum("ij,ij->i", normals, lifted.mean(axis=0) - facet[:, 0]) > 0] *= -1
+    offsets = np.einsum("ij,ij->i", normals, facet[:, 0])
+    tol = 1e-12
+    assert (np.linalg.norm(store.centers[rows] - centers, axis=1) <= tol * radii).all()
+    assert np.allclose(store.radii2[rows], radii**2, rtol=tol, atol=0.0)
+    assert np.allclose(store.normals[rows], normals, rtol=0.0, atol=tol)
+    assert np.allclose(store.offsets[rows], offsets, rtol=tol, atol=tol)
+
+
 def _triangulated_store():
     # A convex pentagon around an interior point: finite and hull cells,
     # with every hull plane having points strictly on its inner side.
@@ -236,3 +280,29 @@ def test_verifier_refuses_a_point_inside_a_stored_sphere():
     coords[outsider] = coords[cell].mean(axis=0)
     with pytest.raises(AmbiguousTriangulation, match="strictly inside"):
         _verify_delaunay(coords, store)
+
+
+def _quad_store(coords, diagonal):
+    # Two triangles across one diagonal of a convex quadrilateral, and its
+    # four hull edges as cells at infinity: the only interior facet is the
+    # diagonal, so the sphere test there is the only one that can fail.
+    a, b = diagonal
+    c, d = (v for v in range(4) if v not in diagonal)
+    store = _CellStore(coords, coords.mean(axis=0))
+    cells = [sorted((a, b, c)), sorted((a, b, d))]
+    cells += [[-1, *sorted((i, (i + 1) % 4))] for i in range(4)]
+    store.add(np.array(cells))
+    return store
+
+
+def test_verifier_refuses_a_facet_that_is_not_locally_delaunay():
+    coords = np.array([[0.0, 0.0], [3.0, 0.2], [3.4, 1.9], [0.3, 1.0]])
+    assert _verify_delaunay(coords, _quad_store(coords, (1, 3))).tolist() == [[0, 1, 3], [1, 2, 3]]
+    with pytest.raises(AmbiguousTriangulation, match=r"strictly inside .* cell \(0, 1, 2\)"):
+        _verify_delaunay(coords, _quad_store(coords, (0, 2)))
+
+
+def test_verifier_names_the_opposite_vertex_on_a_sphere():
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(AmbiguousTriangulation, match=r"point 3 lies on .* cell \(0, 1, 2\)"):
+        _verify_delaunay(square, _quad_store(square, (0, 2)))
