@@ -58,7 +58,6 @@ from .geometry import (
     _circumsphere,
     _hull_coordinates,
     _sq_distance_blocks,
-    _svd_solve,
     as_point_array,
 )
 
@@ -174,8 +173,8 @@ class _CellStore:
         orthogonal to f with ``w . (interior - f_0) = 1``: ``-w / |w|`` is
         the outward unit normal, ``1 / |w|`` the interior's distance from
         the facet's hyperplane, and x projected onto that hyperplane the
-        facet's circumcentre. Rows without a certificate take the SVD of
-        ``_svd_solve`` and its rank rule.
+        facet's circumcentre. A row that ``_certified_solve`` finds
+        dependent names its cell in ``AmbiguousTriangulation``.
         """
         g, m = cells.shape[0], self.points.shape[1]
         hull = cells[:, 0] == -1
@@ -186,10 +185,12 @@ class _CellStore:
         rhs[0] = 0.5 * np.einsum("gij,gij->gi", a, a)
         rhs[0, hull, -1] = 0.0
         rhs[1, :, -1] = 1.0
-        (x, w), certified = _certified_solve(a, rhs)
-        if not certified.all():
-            doubtful = ~certified
-            x[doubtful], w[doubtful] = self._svd(cells[doubtful], a[doubtful], rhs[:, doubtful])
+        try:
+            (x, w), _ = _certified_solve(a, rhs)
+        except RankDeficient as exc:
+            raise AmbiguousTriangulation(
+                f"cell {tuple(cells[exc.system].tolist())} is affinely degenerate within tolerance"
+            ) from None
         normals = np.zeros((g, m))
         offsets = np.zeros(g)
         if hull.any():
@@ -227,22 +228,6 @@ class _CellStore:
         self.normals[rows] = normals
         self.offsets[rows] = offsets
         self.count += fresh
-
-    @staticmethod
-    def _svd(cells: np.ndarray, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``_svd_solve`` of the uncertified rows, naming the first degenerate cell."""
-        try:
-            return _svd_solve(a, rhs)
-        except RankDeficient:
-            # Only a refused insertion runs this loop.
-            for cell, one, r in zip(cells.tolist(), a, rhs[0]):
-                try:
-                    _svd_solve(one[None], r[None])
-                except RankDeficient:
-                    raise AmbiguousTriangulation(
-                        f"cell {tuple(cell)} is affinely degenerate within tolerance"
-                    ) from None
-            raise
 
     def kill(self, rows) -> None:
         self.radii2[rows] = -np.inf

@@ -9,10 +9,12 @@ a common point. Values are computed top-down:
   Q's X part and, separately, from its Y part. The minimizer is one of
   three candidates -- the X-side projection if its X radius dominates
   there, else the Y-side projection if its Y radius dominates there, else
-  the center of the smallest sphere through all of Q. ``_relaxed_batch``
-  is the one spelling of this case analysis: it solves a dimension's
-  simplices per (|Q_X|, |Q_Y|) type, rows with the same X count gathered
-  into one (g, k+1, d) array and solved by stacked bisector solves, and
+  the center of the smallest sphere through all of Q. That last candidate
+  applies only below d+2 vertices: with d+2 the two bisector flats meet
+  in one point, which is both projections. ``_relaxed_batch`` is the
+  one spelling of this case analysis: it solves a dimension's simplices
+  per (|Q_X|, |Q_Y|) type, rows with the same X count gathered into one
+  (g, k+1, d) array and solved by stacked bisector solves, and
   ``relaxed_value`` is its one-row call.
 * ``coupled_filtration`` walks the complex from the top dimension down,
   one batched pass per dimension. The coupled Gabriel test decides
@@ -193,19 +195,22 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
     where neither radius dominates. Returns ``(center, radius_x, radius_y, case)``
     of shapes (m, d), (m,), (m,), (m,); ``case`` holds the index into
     ``CASES`` of the candidate that won (a pure row is dominated by its
-    own cloud).
+    own cloud). Every bisector system is square or wide.
     """
     m, size = rows.shape
     dim = points.shape[1]
-    if size > dim + 2:
-        raise DimensionOverflow(
-            f"{size} vertices exceed the maximum simplex size {dim + 2} in R^{dim}"
-        )
+    counts = (rows < n_x).sum(axis=1)
+    # A lifted Delaunay cell has at most d + 2 vertices and spans both
+    # clouds, so only a listing or a direct call can overflow.
+    pure = ((counts == 0) | (counts == size)).any()
+    limit = dim + 1 if pure else dim + 2
+    if size > limit:
+        kind = "pure simplex" if pure else "simplex"
+        raise DimensionOverflow(f"{size} vertices exceed the maximum {kind} size {limit} in R^{dim}")
     center = np.empty((m, dim))
     radius_x = np.zeros(m)
     radius_y = np.zeros(m)
     case = np.empty(m, dtype=np.intp)
-    counts = (rows < n_x).sum(axis=1)
     for n_qx in np.unique(counts).tolist():
         sel = np.flatnonzero(counts == n_qx)
         pts = points[rows[sel]]  # (g, size, dim)
@@ -231,7 +236,9 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
         r_x = np.linalg.norm(c - x1, axis=-1)
         r_y = np.linalg.norm(c - y1, axis=-1)
         pick = np.where(r_x[0] >= r_y[0] - _TIE_EPS, 0, 1)
-        both = np.flatnonzero((pick == 1) & (r_x[1] > r_y[1] + _TIE_EPS))
+        # With d + 2 vertices the bisector system is square: the X and Y
+        # candidates are one point, and the circumsphere step is skipped.
+        both = np.flatnonzero((pick == 1) & (r_x[1] > r_y[1] + _TIE_EPS) & (size < dim + 2))
         g = np.arange(len(sel))
         c, r_x, r_y = c[pick, g], r_x[pick, g], r_y[pick, g]
         pick[both] = 2  # the case code: 0 and 1 name the candidate taken

@@ -8,15 +8,15 @@ shape ``(n, d)``.
 There is no exact arithmetic. Predicates share one absolute/relative
 tolerance, the constant ``EPS``, which every layer reads from here and no
 caller sets; rank decisions use the tighter ``RANK_RCOND`` cutoff.
-There are two bisector solves. The fast paths use ``_certified_solve``:
-stacked systems solved by LU or QR, where a condition-number certificate
-decides which solutions stand and only the rest pay for the SVD that
-makes the rank decision. The relaxed centers reach it through
-``_bisector_points``; the triangulation's cell store hands it square
-systems only, so no QR runs per insertion. The brute-force routes (``_circumsphere``, and
-through it ``min_enclosing_ball``, the general-position check and the
-brute-force Delaunay) solve one system at a time by lstsq, so that they
-stay arithmetically independent of the fast paths.
+There are two bisector solves, of square or wide systems only. The fast
+paths use ``_certified_solve``, the one place that decides rank: stacked
+LU or QR solves whose condition-number certificate decides which
+solutions stand, the rest paying for the SVD of the rank decision. The
+relaxed centers reach it through ``_bisector_points``; the triangulation
+hands it square systems only, so no QR runs per insertion. The
+brute-force routes (``_circumsphere``, and through it the enclosing
+balls, the general-position check and the brute-force Delaunay) solve
+one system at a time by lstsq, independent of the fast paths.
 Inputs closer than the tolerance to a degenerate configuration are
 rejected with an error rather than silently perturbed -- ``jitter`` is
 the explicit way out for callers that want perturbation.
@@ -46,7 +46,11 @@ class DegenerateInput(GeometryError):
 
 
 class RankDeficient(GeometryError):
-    """A bisector system lost rank; signals a general-position failure."""
+    """A bisector system lost rank; ``system`` indexes the first dependent one in its stack."""
+
+    def __init__(self, message: str, system: int = 0):
+        super().__init__(message)
+        self.system = system
 
 
 class GeneralPositionError(GeometryError):
@@ -95,107 +99,94 @@ def as_point_array(points, dim: int | None = None) -> np.ndarray:
 def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Closest point to ``p[i]`` equidistant from ``u[i, j]`` and ``v[i, j]`` for every j.
 
-    This is the bisector-flat solve of the fast paths: the candidate
-    centers of the relaxed values and the circumspheres of the
-    triangulation come from it. ``u`` and ``v`` have shape (g, m, d)
-    (``u`` may be (g, 1, d)); ``p`` is (g, d), or (t, g, d) for t anchor
-    points that share the bisector rows and so one factorization. Flat i
-    is {c : a (c - p) = r} with ``a = v - u`` and r the residual at ``p``,
-    taken from differences to ``p`` so that nothing cancels when the
-    points are far from the origin; the closest point is ``p`` plus the
-    minimum-norm solution. Each block is solved by one stacked LAPACK
-    call (``_certified_solve``): an LU inverse of a square system, else a
-    QR factorization, with a certificate that the system is far from rank
-    loss. The rows without one go through the SVD of
-    ``_svd_solve``, which keeps lstsq's rules: singular values at most
-    ``RANK_RCOND`` times the largest count as zero, and a rank below
-    min(m, d) raises RankDeficient. An overdetermined system (m > d)
-    inconsistent beyond ``EPS (1 + max|r|)`` raises too.
+    This is the bisector-flat solve of the relaxed centers. ``u`` and
+    ``v`` have shape (g, m, d) with m <= d (``u`` may be (g, 1, d)); ``p``
+    is (g, d), or (t, g, d) for t anchor points that share the bisector
+    rows and so one factorization. Flat i is {c : a (c - p) = r} with
+    ``a = v - u`` and r the residual at ``p``, taken from differences to
+    ``p`` so that nothing cancels when the points are far from the origin;
+    the closest point is ``p`` plus the minimum-norm solution from
+    ``_certified_solve``, which raises RankDeficient if a system lost rank.
     """
     a = v - u
     if a.shape[-2] == 0:
         return np.array(p, dtype=float)
     anchor = p[..., None, :]
     r = 0.5 * np.einsum("...ij,...ij->...i", a, (v - anchor) + (u - anchor))
-    sol, certified = _certified_solve(a, r)
-    if not certified.all():
-        doubtful = ~certified
-        sol[..., doubtful, :] = _svd_solve(a[doubtful], r[..., doubtful, :])
-    if a.shape[-2] > a.shape[-1]:
-        scale = 1.0 + np.abs(r).max(axis=-1)
-        off = np.abs(np.einsum("gij,...gj->...gi", a, sol) - r).max(axis=-1)
-        if (off > EPS * scale).any():
-            raise RankDeficient("bisector system has no common solution")
-    return p + sol
+    return p + _certified_solve(a, r)[0]
 
 
 def _certified_solve(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares, minimum-norm solutions of ``a[i] x = r[..., i, :]``, and which to trust.
+    """Minimum-norm solutions of ``a[i] x = r[..., i, :]`` (m <= d), and which are certified.
 
-    A square block is inverted by LU. Otherwise, with m rows and d columns,
-    ``a^T = Q R`` gives the minimum-norm ``Q R^-T r`` (m < d) and ``a = Q R``
-    the least-squares ``R^-1 Q^T r`` (m > d), R inverted by LU. System i
-    is certified when ``||R||_F ||R^-1||_F < 1e-2 / RANK_RCOND`` (R = a for
-    a square block): that bounds the 2-norm condition number, so the SVD
-    would find every singular value above its cutoff with 100x to spare,
-    the margin covering the round-off of the factorization. Nothing is
-    certified when LU meets an exact zero pivot. Leading axes of ``r``
-    stack right-hand sides on one factorization: the triangulation's cell
-    store solves each square system for its bisector residuals and for the
-    last unit vector, whose solution is the last column of the inverse.
+    A square block is inverted by LU; a wide one (m < d) gives ``Q R^-T r``
+    from ``a^T = Q R``, R inverted by LU. System i is certified when
+    ``||R||_F ||R^-1||_F < 1e-2 / RANK_RCOND`` (R = a for a square block):
+    that bounds the 2-norm condition number, so the SVD would find every
+    singular value above its cutoff with 100x to spare, the margin covering
+    the round-off of the factorization. Nothing is certified when LU meets
+    an exact zero pivot. The uncertified systems are solved by
+    ``_svd_solve``, whose RankDeficient then carries the index into ``a``
+    of the first dependent system. Leading axes of ``r`` stack right-hand
+    sides on one factorization: the triangulation's cell store solves each
+    square system for its bisector residuals and for the last unit vector,
+    whose solution is the last column of the inverse.
     """
-    m, d = a.shape[-2:]
-    if m == d:
-        base = a
-    elif m < d:
-        q, base = np.linalg.qr(np.swapaxes(a, -1, -2))
-    else:
-        q, base = np.linalg.qr(a)
+    square = a.shape[-2] == a.shape[-1]
+    q, base = (None, a) if square else np.linalg.qr(np.swapaxes(a, -1, -2))
     try:
         inv = np.linalg.inv(base)
     except np.linalg.LinAlgError:
-        return np.empty(r.shape[:-1] + (d,)), np.zeros(len(a), dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Squared Frobenius norms; an overflow or nan leaves the row uncertified.
-        cond2 = np.einsum("gij,gij->g", base, base) * np.einsum("gij,gij->g", inv, inv)
-        if m == d:
-            sol = np.einsum("gij,...gj->...gi", inv, r)
-        elif m < d:
-            sol = np.einsum("gij,...gj->...gi", q, np.einsum("gji,...gj->...gi", inv, r))
-        else:
-            sol = np.einsum("gij,...gj->...gi", inv, np.einsum("gji,...gj->...gi", q, r))
-    return sol, cond2 < (1e-2 / RANK_RCOND) ** 2
+        sol, certified = np.empty(r.shape[:-1] + a.shape[-1:]), np.zeros(len(a), dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Squared Frobenius norms; an overflow or nan leaves the row uncertified.
+            cond2 = np.einsum("gij,gij->g", base, base) * np.einsum("gij,gij->g", inv, inv)
+            if square:
+                sol = np.einsum("gij,...gj->...gi", inv, r)
+            else:
+                sol = np.einsum("gij,...gj->...gi", q, np.einsum("gji,...gj->...gi", inv, r))
+        certified = cond2 < (1e-2 / RANK_RCOND) ** 2
+    if not certified.all():
+        doubtful = np.flatnonzero(~certified)
+        try:
+            sol[..., doubtful, :] = _svd_solve(a[doubtful], r[..., doubtful, :])
+        except RankDeficient as exc:
+            exc.system = int(doubtful[exc.system])
+            raise
+    return sol, certified
 
 
 def _svd_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions by SVD with lstsq's rank rule; RankDeficient if any row lost rank."""
+    """Minimum-norm solutions by SVD; RankDeficient if a system fails lstsq's rank rule."""
     left, s, right = np.linalg.svd(a, full_matrices=False)
     # The system is full-rank when every singular value survives the cutoff;
     # then the minimum-norm solution uses all of them.
-    if (s <= RANK_RCOND * s[:, :1]).any():
-        rank = int((s > RANK_RCOND * s[:, :1]).sum(axis=1).min())
-        raise RankDeficient(f"bisector rows are dependent (rank {rank} < {s.shape[1]})")
+    dependent = s <= RANK_RCOND * s[:, :1]
+    if dependent.any():
+        rank = int((~dependent).sum(axis=1).min())
+        raise RankDeficient(
+            f"bisector rows are dependent (rank {rank} < {s.shape[1]})",
+            int(dependent.any(axis=1).argmax()),
+        )
     return np.einsum("gqj,...gq->...gj", right, np.einsum("giq,...gi->...gq", left, r) / s)
 
 
 def _circumsphere(points: np.ndarray) -> Sphere | None:
-    """Smallest sphere through all of ``points``, or None if no such sphere.
+    """Smallest sphere through all of ``points`` (at most d+1 in R^d), or None if none.
 
     The center is the circumcenter inside the affine hull of the points:
     ``pts[0]`` plus the minimum-norm solution of the bisector rows
     ``a = pts[1:] - pts[0]``, solved by lstsq. This is the brute-force
-    solve, kept apart from the LU/QR solves of ``_bisector_points``.
+    solve, kept apart from the LU/QR solves of ``_certified_solve``.
     Returns None when the rows are dependent (the points are affinely
-    dependent) or, for more than d+1 points, inconsistent beyond ``EPS``
-    (the points are not cospherical).
+    dependent).
     """
     pts = np.asarray(points, dtype=float)
     a = pts[1:] - pts[0]
     r = 0.5 * np.einsum("ij,ij->i", a, a)
     sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
     if rank < min(a.shape):
-        return None
-    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > EPS * (1.0 + float(r.max())):
         return None
     center = pts[0] + sol
     return Sphere(center, float(np.linalg.norm(center - pts[0])))
@@ -323,7 +314,7 @@ def check_coupled_general_position(x, y) -> tuple[bool, list[Violation]]:
         if n >= d + 1:
             for subset in itertools.combinations(range(n), d + 1):
                 sub = cloud[list(subset)]
-                if _affine_rank(sub) < d:
+                if _hull_coordinates(sub)[1] < d:
                     violations.append(
                         Violation("flat", tuple(offset + i for i in subset))
                     )
@@ -358,11 +349,6 @@ def _hull_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
     scale = max(float(s[0]), float(np.abs(pts).max()))  # centring round-off grows with max|x|
     rank = int((s > RANK_RCOND * max(pts.shape) * scale).sum())
     return centered @ vt[:rank].T, rank
-
-
-def _affine_rank(points: np.ndarray) -> int:
-    """Dimension of the affine hull of the points."""
-    return _hull_coordinates(points)[1]
 
 
 def _sq_distance_blocks(pts: np.ndarray):

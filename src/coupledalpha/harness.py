@@ -76,6 +76,8 @@ def scaling_experiment(
         raise ValueError(f"dim must be at least 1, got {dim}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return [run_trial(n, trial, dim, seed) for n in n_list for trial in range(trials)]
 
 

@@ -32,8 +32,8 @@ def boundary_matrix(fc: FilteredComplex) -> tuple[list[np.ndarray], list[np.ndar
     row j of ``columns[k]`` holds the facet ranks of the j-th of them. Refuses
     a filtration that is not monotone; the complex itself is closed under
     faces by construction."""
-    dim, index = fc.order()
-    order = [index[dim == k] for k in range(len(fc.levels))]
+    # Within one dimension the order by (value, lexicographic rank) is a stable sort.
+    order = [np.argsort(levels, kind="stable") for levels in fc.levels]
     columns = [np.zeros((len(order[0]), 0), dtype=np.intp)] if order else []
     for k in range(1, len(fc.levels)):
         rows, below = fc.cplx.rows[k], fc.cplx.rows[k - 1]
@@ -104,12 +104,12 @@ class PersistenceDiagram:
 
     all_intervals: list[Interval] = field(default_factory=list)
 
-    def intervals(self, dim: int | None = None, include_zero: bool = False) -> list[Interval]:
+    def intervals(self, dim: int | None = None) -> list[Interval]:
         out = [
             iv
             for iv in self.all_intervals
             if (dim is None or iv.dim == dim)
-            and (include_zero or math.isinf(iv.death) or iv.length > _SLIVER * abs(iv.death))
+            and (math.isinf(iv.death) or iv.length > _SLIVER * abs(iv.death))
         ]
         out.sort(key=lambda iv: (iv.dim, iv.birth, iv.death))
         return out

@@ -55,18 +55,14 @@ def lstsq_bisector(u, v, p):
 
     One system at a time, with lstsq's rank rule at ``RANK_RCOND``: the
     reference for the stacked LU/QR solves of ``_bisector_points``.
-    ``u`` may be a single row shared by all. Raises RankDeficient on
-    dependent rows, or on an overdetermined system inconsistent beyond
-    ``EPS``.
+    ``u`` may be a single row shared by all; there are at most d rows.
+    Raises RankDeficient on dependent rows.
     """
     a = v - u
     r = 0.5 * np.einsum("ij,ij->i", a, (v - p) + (u - p))
     sol, _, rank, _ = np.linalg.lstsq(a, r, rcond=RANK_RCOND)
     if rank < min(a.shape):
         raise RankDeficient(f"bisector rows are dependent (rank {rank} < {min(a.shape)})")
-    scale = 1.0 + float(np.abs(r).max(initial=0.0))
-    if rank < a.shape[0] and float(np.abs(a @ sol - r).max()) > EPS * scale:
-        raise RankDeficient("bisector system has no common solution")
     return p + sol
 
 

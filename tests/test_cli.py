@@ -150,6 +150,16 @@ def test_filtrate_refuses_a_simplex_beyond_d_plus_2_vertices(capsys, tmp_path):
     assert json.loads(err)["error"] == "DimensionOverflow"
 
 
+def test_filtrate_refuses_a_pure_simplex_beyond_d_plus_1_vertices(capsys, tmp_path):
+    x = tmp_path / "x.csv"
+    x.write_text("0.0,0.0\n1.0,0.0\n0.0,1.0\n1.0,1.0\n")
+    listing = _listing_of_faces(tmp_path / "four.csv", range(4))
+    code, out, err = run(capsys, ["filtrate", str(x), "--complex", listing, "--format", "json"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DimensionOverflow"
+
+
 def test_filtrate_refuses_a_collinear_triangle(capsys, tmp_path):
     x = tmp_path / "x.csv"
     x.write_text("0.0,0.0\n1.0,0.0\n2.0,0.0\n")
@@ -289,6 +299,13 @@ def test_scaling_rejects_dim_and_trials_below_one(capsys, option, value):
     assert code == 1
     assert out == ""
     assert err == f"error: {option[2:]} must be at least 1, got {value}\n"
+
+
+def test_scaling_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, ["scaling", "--n-list", "8", "--trials", "1", "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

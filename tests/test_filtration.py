@@ -9,6 +9,7 @@ from coupledalpha import (
     PointCloudPair,
     coupled_alpha_infty,
     coupled_filtration,
+    persistence_diagram,
     relaxed_value,
 )
 from coupledalpha._rows import facets, match, unique
@@ -102,6 +103,55 @@ def test_relaxed_value_validation():
         relaxed_value([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], None)
     with pytest.raises(ValueError):
         relaxed_value(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def test_a_pure_simplex_of_d_plus_2_vertices_overflows():
+    # Its bisector system would have more rows than columns. A lifted
+    # Delaunay cell spans both clouds, so only a listing or a direct call
+    # can ask; cospherical or not, the answer is a refusal.
+    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(DimensionOverflow, match="maximum pure simplex size 3 in R\\^2"):
+        relaxed_value(square, None)
+    with pytest.raises(DimensionOverflow, match="4 vertices exceed the maximum pure"):
+        relaxed_value(None, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_top_simplices_take_no_circumsphere(dim):
+    # A mixed simplex of d + 2 vertices has a square bisector system: the
+    # X and Y candidates are one point, equidistant from each side.
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(3):
+        pair = PointCloudPair(rng.random((30, dim)), rng.random((30, dim)), check=False)
+        top = coupled_alpha_infty(pair).rows[dim + 1]
+        assert len(top)
+        center, radius_x, radius_y, case = _relaxed_batch(pair.points, pair.n_x, top)
+        assert CASES.index(CIRCUMSPHERE) not in case.tolist()
+        dist = np.linalg.norm(pair.points[top] - center[:, None], axis=-1)
+        own = np.where(top < pair.n_x, radius_x[:, None], radius_y[:, None])
+        assert np.allclose(dist, own, rtol=1e-9, atol=1e-12)
+
+
+def test_pipeline_solves_no_overdetermined_system(monkeypatch):
+    # Every bisector system of a full run, triangulation and filtration
+    # alike, goes through _certified_solve with at most as many rows as columns.
+    from coupledalpha import delaunay, geometry
+
+    shapes = set()
+    solve = geometry._certified_solve
+
+    def counted(a, r):
+        shapes.add(a.shape[-2:])
+        return solve(a, r)
+
+    monkeypatch.setattr(geometry, "_certified_solve", counted)
+    monkeypatch.setattr(delaunay, "_certified_solve", counted)
+    rng = np.random.default_rng(77)
+    for dim in (2, 3):
+        pair = PointCloudPair(rng.random((40, dim)), rng.random((40, dim)), check=False)
+        persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
+    assert {m < d for m, d in shapes} == {True, False}
+    assert all(m <= d for m, d in shapes)
 
 
 def test_coupled_gabriel_flags_enclosed_vertex():

@@ -9,10 +9,10 @@ from coupledalpha.delaunay import _prepare
 from coupledalpha.geometry import (
     DegenerateInput,
     RankDeficient,
-    _affine_rank,
     _bisector_points,
     _certified_solve,
     _circumsphere,
+    _hull_coordinates,
     _svd_solve,
     as_point_array,
     check_coupled_general_position,
@@ -50,8 +50,8 @@ def test_equidistant_center_subsets_live_in_affine_hull():
         dists = np.linalg.norm(pts - sphere.center, axis=1)
         assert np.allclose(dists, sphere.radius, atol=1e-9)
         # center inside the affine hull: adding its hull coordinates back
-        rank_with = _affine_rank(np.vstack([pts, sphere.center]))
-        assert rank_with == _affine_rank(pts)
+        rank_with = _hull_coordinates(np.vstack([pts, sphere.center]))[1]
+        assert rank_with == _hull_coordinates(pts)[1]
 
 
 def test_equidistant_center_rejects_collinear():
@@ -141,11 +141,6 @@ def test_stacked_bisector_points_match_scalar(rng):
             for i in range(6):
                 expected = lstsq_bisector(u[i], v[i], p[t, i])
                 assert np.allclose(stacked[t, i], expected, rtol=1e-12, atol=1e-12)
-    # Overdetermined but consistent: five cospherical points in the plane.
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(4, 5))
-    pts = 3.0 + 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
-    assert np.allclose(centers, 3.0, atol=1e-12)
 
 
 def test_stacked_bisector_points_refuse_like_the_scalar_solver():
@@ -153,10 +148,19 @@ def test_stacked_bisector_points_refuse_like_the_scalar_solver():
     v = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [2.0, 0.0]]])
     with pytest.raises(RankDeficient, match="dependent"):
         _bisector_points(u, v, np.ones((2, 2)))
-    # Four points in the plane that are not cospherical: no common solution.
-    pts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]]])
-    with pytest.raises(RankDeficient, match="no common solution"):
-        _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
+
+
+def test_certified_solve_names_the_first_dependent_system(rng):
+    # Uncertified systems at 1, 3 and 4; the first of them is full rank, so
+    # the SVD's first dependent system is not the first uncertified one.
+    ratios = [0.5, 1e-11, 0.5, 1e-13, 1e-13, 0.5]
+    systems = [_graded_rows(rng, 3, 3, ratio) for ratio in ratios]
+    a = np.stack([v - u for u, v in systems])
+    r = rng.normal(size=(2, len(ratios), 3))
+    assert _certified_solve(a[:3], r[:, :3])[1].tolist() == [True, False, True]
+    with pytest.raises(RankDeficient, match=r"dependent \(rank 2 < 3\)") as refused:
+        _certified_solve(a, r)
+    assert refused.value.system == 3
 
 
 def _graded_rows(rng, m, d, ratio):
@@ -179,8 +183,14 @@ def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
     u, v, p = (np.stack(part) for part in zip(*systems))
     a = v - u
     r = 0.5 * np.einsum("gij,gij->gi", a, (v - p[:, None]) + (u - p[:, None]))
-    certified = _certified_solve(a, r)[1]
-    assert certified.tolist() == [ratio > 1e-10 for ratio in ratios]
+    if m > 1:
+        # The dependent system is refused and named; the others keep their certificate.
+        with pytest.raises(RankDeficient, match="dependent") as refused:
+            _certified_solve(a, r)
+        assert refused.value.system == ratios.index(1e-13)
+    sound = [i for i, ratio in enumerate(ratios) if ratio != 1e-13]
+    certified = dict(zip(sound, _certified_solve(a[sound], r[sound])[1].tolist()))
+    assert certified == {i: ratios[i] > 1e-10 for i in sound}
 
     accepted = []
     for i, ratio in enumerate(ratios):
@@ -206,24 +216,6 @@ def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
             # The SVD code decides and solves these rows as before. It and
             # lstsq differ by up to about 1e-10 relative on them (m=3, d=4).
             assert np.array_equal(center, p[i] + _svd_solve(a[i : i + 1], r[i : i + 1])[0])
-
-
-def test_certified_solve_refuses_an_inconsistent_row_among_consistent_ones(rng):
-    # Five cospherical points in R^3 per row: four bisector rows, one more
-    # than the columns, consistent. Moving one point off its sphere in one
-    # row of the batch leaves no common solution.
-    g = 6
-    dirs = rng.normal(size=(g, 5, 3))
-    pts = 2.0 + 1.5 * dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
-    centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
-    assert np.allclose(centers, 2.0, atol=1e-12)
-    for i in range(g):
-        expected = lstsq_bisector(pts[i, 0], pts[i, 1:], pts[i, 0])
-        assert np.linalg.norm(centers[i] - expected) <= 1e-12 * np.linalg.norm(expected)
-    pts[3, 4] *= 1.01
-    with pytest.raises(RankDeficient, match="no common solution"):
-        _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
-    assert _circumsphere(pts[3]) is None
 
 
 def test_lift_clouds_heights_exact():
@@ -273,7 +265,7 @@ def test_general_position_flags_lifted_cosphericality():
 def test_diameter_and_rank():
     assert diameter([[0.0, 0.0]]) == 0.0
     assert diameter([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
-    assert _affine_rank(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])) == 1
+    assert _hull_coordinates(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))[1] == 1
 
 
 def test_jitter_reproducible_and_bounded():

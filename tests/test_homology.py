@@ -284,7 +284,7 @@ def test_zero_length_intervals_hidden_by_default():
     )
     dgm = persistence_diagram(fc)
     assert len(dgm.intervals(0)) == 1  # only the essential class
-    assert len(dgm.intervals(0, include_zero=True)) == 2
+    assert len([iv for iv in dgm.all_intervals if iv.dim == 0]) == 2
 
 
 def test_slivers_are_not_reported_as_homology():
@@ -295,5 +295,6 @@ def test_slivers_are_not_reported_as_homology():
     pair = PointCloudPair(rng.random((20, 3)), rng.random((20, 3)), check=False)
     dgm = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
     assert dgm.intervals(3) == []
-    assert dgm.intervals(3, include_zero=True)
-    assert all(iv.length <= 1e-12 * iv.death for iv in dgm.all_intervals if iv.dim == 3)
+    slivers = [iv for iv in dgm.all_intervals if iv.dim == 3]
+    assert slivers
+    assert all(iv.length <= 1e-12 * iv.death for iv in slivers)
