@@ -31,10 +31,10 @@ import numpy as np
 
 from .complexes import CoupledComplex, PointCloudPair, coupled_alpha_infty
 from .filtration import coupled_filtration
-from .geometry import check_coupled_general_position
 from .harness import doubling_ratios, fit_linear, scaling_experiment
 from .homology import persistence_diagram
 from .oracle import IterationLimit, diagram_discrepancy_vs_reference, diagram_tolerance_default
+from .reference import check_coupled_general_position
 
 
 def _read_rows(path: str, parse, kind: str):

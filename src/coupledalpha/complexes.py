@@ -21,13 +21,8 @@ import numpy as np
 
 from ._rows import facets, match, unique
 from .delaunay import _delaunay_cells
-from .geometry import (
-    DegenerateInput,
-    GeneralPositionError,
-    as_point_array,
-    check_coupled_general_position,
-    lift_clouds,
-)
+from .geometry import DegenerateInput, GeneralPositionError, as_point_array, lift_clouds
+from .reference import check_coupled_general_position
 
 Simplex = tuple[int, ...]
 
@@ -38,9 +33,9 @@ class PointCloudPair:
     By default the coupled general-position check runs on construction and
     raises ``GeneralPositionError`` on failure; pass ``check=False`` to
     waive it (the check is exhaustive over subsets, so waiving is the
-    normal thing to do for more than a few dozen points). The check, the
-    triangulation and the filtration all decide ties with the one fixed
-    tolerance ``geometry.EPS``.
+    normal thing to do for more than a few dozen points). The check is a
+    reference and decides ties with its own tolerance ``reference.TOL``;
+    the triangulation and the filtration read ``geometry.EPS``.
     """
 
     def __init__(self, x, y=None, *, check: bool = True):

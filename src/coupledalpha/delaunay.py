@@ -1,14 +1,11 @@
-"""Delaunay triangulations in R^m via two independent routes.
+"""Delaunay triangulations in R^m by incremental insertion.
 
-``delaunay_bruteforce`` is the correctness reference: it tests the empty
-circumsphere property for every candidate cell directly from the
-definition. ``delaunay_incremental`` is the fast path: Bowyer-Watson
-insertion over one store of cells, in which each convex-hull facet f is
-the cell (-1,) + f through a vertex at infinity (as in CGAL's
-triangulations). A cell at infinity conflicts with the open outer
-half-space of its facet, plus coplanar points strictly inside the facet's
-own circumsphere, so no artificial far-away vertices ever enter a
-circumsphere computation.
+``delaunay_incremental`` is Bowyer-Watson insertion over one store of
+cells, in which each convex-hull facet f is the cell (-1,) + f through a
+vertex at infinity (as in CGAL's triangulations). A cell at infinity
+conflicts with the open outer half-space of its facet, plus coplanar
+points strictly inside the facet's own circumsphere, so no artificial
+far-away vertices ever enter a circumsphere computation.
 
 Points are inserted in a seeded random order (Amenta-Choi-Rote,
 "Incremental constructions con BRIO", 2003, without the rounds): a sweep
@@ -30,36 +27,36 @@ every circumsphere empty; ``_verify_delaunay`` gives the argument.
 
 Point sets whose affine hull is a proper flat of R^m (fewer than m+1
 points, or clouds lying in a common hyperplane, as lifted inputs do when
-one side is small) are triangulated inside their affine hull: both routes
-first map the input isometrically onto hull coordinates.
+one side is small) are triangulated inside their affine hull: the input is
+first mapped isometrically onto hull coordinates.
 
 Cells are emitted as sorted index tuples; under general position the cell
-set is unique, and both routes return it whatever the insertion order.
-Points within ``EPS`` of a cosphericality (a non-vertex on a candidate
-cell's circumsphere) raise ``AmbiguousTriangulation`` instead of silently
+set is unique, and the result does not depend on the insertion order;
+the tests check it against ``reference.delaunay_bruteforce``. Points
+within ``EPS`` of a cosphericality (a non-vertex on a candidate cell's
+circumsphere) raise ``AmbiguousTriangulation`` instead of silently
 picking a diagonal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._rows import facets, unique
 from .geometry import (
-    _BLOCK_FLOATS,
     EPS,
     DegenerateInput,
     GeometryError,
     RankDeficient,
     _certified_solve,
-    _circumsphere,
     _hull_coordinates,
-    _sq_distance_blocks,
     as_point_array,
 )
+
+# Coordinate differences held at once by the blocked scans over all points (2 MiB).
+_BLOCK_FLOATS = 1 << 18
 
 
 class AmbiguousTriangulation(GeometryError):
@@ -80,11 +77,15 @@ class Triangulation:
 
 def _prepare(points) -> tuple[np.ndarray, int]:
     pts = as_point_array(points)
-    n = pts.shape[0]
+    n, d = pts.shape
     if n >= 2:
-        # The closest pair, first in row-major order, scanned in row blocks.
+        # The closest pair, first in row-major order, scanned in blocks of
+        # rows of at most about _BLOCK_FLOATS differences: O(n) memory.
         best, i, j = np.inf, 0, 0
-        for start, dist2 in _sq_distance_blocks(pts):
+        step = max(1, _BLOCK_FLOATS // max(n * d, 1))
+        for start in range(0, n, step):
+            diff = pts[start : start + step, None, :] - pts[None, :, :]
+            dist2 = np.einsum("ijk,ijk->ij", diff, diff)
             rows = np.arange(dist2.shape[0])
             dist2[rows, start + rows] = np.inf
             at = int(dist2.argmin())
@@ -93,38 +94,6 @@ def _prepare(points) -> tuple[np.ndarray, int]:
         if float(best) <= EPS * EPS:
             raise DegenerateInput(f"points {i} and {j} coincide within tolerance")
     return _hull_coordinates(pts)
-
-
-def delaunay_bruteforce(points) -> Triangulation:
-    """Delaunay triangulation straight from the empty-circumsphere definition.
-
-    Every (m+1)-subset of the (hull-reduced) points is tested: affinely
-    dependent subsets are skipped, subsets whose circumsphere strictly
-    contains another point are rejected, and a non-member lying on the
-    circumsphere of an otherwise empty sphere raises
-    ``AmbiguousTriangulation``.
-    """
-    coords, rank = _prepare(points)
-    n = coords.shape[0]
-    if rank == 0:
-        return Triangulation(())
-    cells = []
-    for combo in itertools.combinations(range(n), rank + 1):
-        sphere = _circumsphere(coords[list(combo)])
-        if sphere is None:
-            continue
-        dist = np.linalg.norm(coords - sphere.center, axis=1)
-        dist[list(combo)] = np.inf
-        tol = EPS * (1.0 + sphere.radius)
-        if bool((dist < sphere.radius - tol).any()):
-            continue
-        on = np.nonzero(np.abs(dist - sphere.radius) <= tol)[0]
-        if on.size:
-            raise AmbiguousTriangulation(
-                f"point {int(on[0])} lies on the circumsphere of candidate cell {combo}"
-            )
-        cells.append(combo)
-    return Triangulation(tuple(sorted(cells)))
 
 
 class _CellStore:
@@ -396,7 +365,7 @@ def _delaunay_cells(points) -> np.ndarray:
 def delaunay_incremental(points) -> Triangulation:
     """Bowyer-Watson Delaunay triangulation with post-hoc verification.
 
-    Matches ``delaunay_bruteforce`` on inputs in general position. The
+    Matches ``reference.delaunay_bruteforce`` on inputs in general position. The
     convex-hull boundary is handled symbolically through a vertex at
     infinity, so coordinates of very different magnitudes never mix inside
     a circumsphere computation; the result is verified from the stored

@@ -2,8 +2,9 @@
 
 Nothing here shares code with the fast paths: membership and filtration
 values are decided straight from the definition (a common point of the
-restricted Voronoi balls), so these routines serve as independent oracles
-in the test suite and the ``compare`` command.
+restricted Voronoi balls), and the enclosing balls and the diameter come
+from ``reference``, so these routines serve as independent oracles in the
+test suite and the ``compare`` command.
 
 * ``feasibility``: is there a point lying in the Voronoi cell of every
   simplex vertex (within its own cloud) and within radius r of each?
@@ -18,9 +19,9 @@ in the test suite and the ``compare`` command.
   stay violated. Exhausting the iteration cap without any verdict raises
   ``IterationLimit``, which is distinct from a clean infeasible answer.
 * ``value_by_bisection``: bisect the radius between 0 and an upper bound
-  (the cloud diameter by default) down to a fixed interval width.
+  (the cloud diameter by default) down to the fixed width ``_WIDTH``.
 * ``cech_filtration``: the Cech filtration of a small cloud, one minimum
-  enclosing ball per subset.
+  enclosing ball per subset of at most d+2 points.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 
 from .complexes import PointCloudPair, Simplex, coupled_alpha_infty
 from .filtration import FilteredComplex, coupled_filtration
-from .geometry import as_point_array, diameter, min_enclosing_ball
+from .geometry import as_point_array
 from .homology import diagram_discrepancy, persistence_diagram
+from .reference import diameter, min_enclosing_ball
 
 diagram_tolerance_default = 1e-6
 
@@ -56,6 +58,7 @@ _CECH_CAP = 16
 _RELAX = 1.9
 _BLOCK = 24
 _WINDOW = 16
+_WIDTH = 1e-8  # bracket width at which value_by_bisection stops
 
 
 def _reduced_constraints(simplex, pair, radius, feas_tol):
@@ -234,10 +237,7 @@ def feasibility(simplex: Simplex, pair: PointCloudPair, radius: float = math.inf
 
 
 def value_by_bisection(
-    simplex: Simplex,
-    pair: PointCloudPair,
-    radius_max: float | None = None,
-    width: float = 1e-7,
+    simplex: Simplex, pair: PointCloudPair, radius_max: float | None = None
 ) -> float:
     """Filtration value of a simplex by bisecting the feasibility radius.
 
@@ -245,15 +245,18 @@ def value_by_bisection(
     ``radius_max`` for simplices whose value exceeds it (sliver cells
     can). Raises ``NotInComplex`` when infeasible at the bracket top.
     Probes that hit the iteration cap count as infeasible, which can only
-    nudge the answer upward by less than the bracket width.
+    nudge the answer upward by less than the bracket width. Bisection also
+    stops when no float lies strictly between the bracket ends.
     """
     simplex = tuple(simplex)
     hi = radius_max if radius_max is not None else max(diameter(pair.points), 1.0)
     if not feasibility(simplex, pair, hi):
         raise NotInComplex(f"{simplex} infeasible at radius {hi}")
     lo = 0.0
-    while hi - lo > width:
+    while hi - lo > _WIDTH:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         try:
             mid_ok = feasibility(simplex, pair, mid)
         except IterationLimit:
@@ -265,12 +268,12 @@ def value_by_bisection(
     return 0.5 * (lo + hi)
 
 
-def cech_filtration(points, max_dim: int | None = None) -> FilteredComplex:
+def cech_filtration(points) -> FilteredComplex:
     """Cech filtration of a cloud: every subset valued by its enclosing ball.
 
-    Exponential in the input size, hence the hard cap. ``max_dim`` bounds
-    the simplex dimension (default: ambient dimension + 1, enough for
-    exact homology through the ambient dimension).
+    Exponential in the input size, hence the hard cap. Simplices go up to
+    dimension d+1 (d+2 vertices), enough for exact homology through the
+    ambient dimension d.
     """
     pts = as_point_array(points)
     n, d = pts.shape
@@ -278,10 +281,8 @@ def cech_filtration(points, max_dim: int | None = None) -> FilteredComplex:
         return FilteredComplex({})
     if n > _CECH_CAP:
         raise TooLarge(f"{n} points exceed the brute-force cap {_CECH_CAP}")
-    if max_dim is None:
-        max_dim = d + 1
     values: dict[Simplex, float] = {}
-    for size in range(1, min(max_dim + 1, n) + 1):
+    for size in range(1, min(d + 2, n) + 1):
         for combo in itertools.combinations(range(n), size):
             if size == 1:
                 values[combo] = 0.0

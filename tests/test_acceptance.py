@@ -124,9 +124,7 @@ def test_acceptance_4_bisection_certifies_values(report):
         for idx in rng.permutation(len(candidates))[:take]:
             simplex = candidates[idx]
             value = fc.values[simplex]
-            estimate = value_by_bisection(
-                simplex, pair, radius_max=radius_max, width=1e-8
-            )
+            estimate = value_by_bisection(simplex, pair, radius_max=radius_max)
             worst = max(worst, abs(estimate - value))
             ok = ok and abs(estimate - value) <= 1e-6
             ok = ok and feasibility(simplex, pair, value * (1.0 + 1e-4))

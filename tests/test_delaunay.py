@@ -13,8 +13,9 @@ from coupledalpha import (
     lift_clouds,
 )
 from coupledalpha.complexes import _closure
-from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay, delaunay_bruteforce
+from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay
 from coupledalpha.geometry import _bisector_points, _hull_coordinates
+from coupledalpha.reference import delaunay_bruteforce
 
 
 def test_single_triangle():

@@ -11,14 +11,16 @@ from coupledalpha.geometry import (
     RankDeficient,
     _bisector_points,
     _certified_solve,
-    _circumsphere,
     _hull_coordinates,
     _svd_solve,
     as_point_array,
-    check_coupled_general_position,
-    diameter,
     jitter,
     lift_clouds,
+)
+from coupledalpha.reference import (
+    _circumsphere,
+    check_coupled_general_position,
+    diameter,
     min_enclosing_ball,
 )
 from conftest import lstsq_bisector

@@ -12,7 +12,7 @@ from coupledalpha import (
     coupled_filtration,
     diagram_discrepancy_vs_reference,
 )
-from coupledalpha.geometry import min_enclosing_ball
+from coupledalpha import oracle
 from coupledalpha.oracle import (
     NotInComplex,
     TooLarge,
@@ -21,6 +21,7 @@ from coupledalpha.oracle import (
     feasibility_witness,
     value_by_bisection,
 )
+from coupledalpha.reference import min_enclosing_ball
 from conftest import check_monotone, random_pair
 
 
@@ -101,9 +102,7 @@ def test_bisection_matches_filtration_values(rng):
     for simplex, value in fc.sorted_items():
         if len(simplex) < 2 or checked >= 12:
             continue
-        assert value_by_bisection(simplex, pair, width=1e-8) == pytest.approx(
-            value, abs=1e-7
-        )
+        assert value_by_bisection(simplex, pair) == pytest.approx(value, abs=1e-7)
         checked += 1
     assert checked == 12
 
@@ -112,6 +111,13 @@ def test_bisection_rejects_nonmembers():
     pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]], check=False)
     with pytest.raises(NotInComplex):
         value_by_bisection((0, 1), pair, radius_max=1.0)
+
+
+def test_bisection_stops_between_adjacent_floats(monkeypatch):
+    # Near 1.5e8 adjacent floats are 3e-8 apart, wider than the bisection width.
+    monkeypatch.setattr(oracle, "feasibility", lambda simplex, pair, radius: radius >= 1.5e8)
+    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]], check=False)
+    assert value_by_bisection((0, 1), pair, radius_max=4e8) == pytest.approx(1.5e8, rel=1e-15)
 
 
 def test_cech_values_are_enclosing_radii(rng):
@@ -130,8 +136,8 @@ def test_cech_values_are_enclosing_radii(rng):
 
 def test_cech_dimension_bound_and_cap():
     pts = np.random.default_rng(0).random((6, 2))
-    fc = cech_filtration(pts, max_dim=2)
-    assert max(len(s) for s in fc.values) == 3
+    fc = cech_filtration(pts)
+    assert max(len(s) for s in fc.values) == 4  # d + 2 vertices in R^2
     with pytest.raises(TooLarge):
         cech_filtration(np.random.default_rng(1).random((17, 2)))
 

@@ -4,9 +4,7 @@ import inspect
 from pathlib import Path
 
 import coupledalpha
-from coupledalpha.delaunay import delaunay_bruteforce
-from coupledalpha.geometry import min_enclosing_ball
-from coupledalpha.oracle import cech_filtration
+from coupledalpha import oracle, reference
 
 # Reached through the top level by the benchmark under perfbench/.
 BENCHMARK_NAMES = {
@@ -34,10 +32,11 @@ def test_benchmark_names_exported():
 
 
 def test_no_callable_takes_a_tolerance():
-    # The geometric tolerance is the constant EPS, read by every predicate.
+    # The fast paths read the constant geometry.EPS, the references reference.TOL.
     exported = [getattr(coupledalpha, name) for name in coupledalpha.__all__]
+    for module in (oracle, reference):
+        exported += [v for k, v in vars(module).items() if not k.startswith("_")]
     callables = [f for f in exported if callable(f)]
-    callables += [delaunay_bruteforce, min_enclosing_ball, cech_filtration]
     for func in callables:
         try:
             params = inspect.signature(func).parameters
