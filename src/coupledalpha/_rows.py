@@ -8,11 +8,16 @@ sorts, never by keys packed into one integer, so nothing can overflow.
 import numpy as np
 
 
+def facet_columns(w: int) -> np.ndarray:
+    """A (w, w - 1) index: its row j lists the columns of a width-w row but j."""
+    kept = np.arange(w - 1)
+    return kept + (kept >= np.arange(w)[:, None])
+
+
 def facets(rows: np.ndarray) -> np.ndarray:
     """Row ``i * w + j`` is row i without its column j, so it stays sorted."""
     w = rows.shape[1]
-    kept = np.arange(w - 1)
-    return rows[:, kept + (kept >= np.arange(w)[:, None])].reshape(-1, w - 1)
+    return rows[:, facet_columns(w)].reshape(-1, w - 1)
 
 
 def unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -22,6 +27,18 @@ def unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
     starts = np.flatnonzero(first)
     return rows[starts], np.diff(np.append(starts, len(rows)))
+
+
+def once(rows: np.ndarray) -> np.ndarray | None:
+    """The rows that occur once, in lexicographic order; None if a row occurs three times or more."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    same = (rows[1:] == rows[:-1]).all(axis=1)
+    if (same[1:] & same[:-1]).any():
+        return None
+    # differs[i]: rows i - 1 and i differ, with sentinels at both ends.
+    differs = np.ones(len(rows) + 1, dtype=bool)
+    np.logical_not(same, out=differs[1:-1])
+    return rows[differs[:-1] & differs[1:]]
 
 
 def match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:

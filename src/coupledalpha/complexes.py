@@ -17,6 +17,8 @@ directly from the cloud's Delaunay triangulation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ._rows import facets, match, unique
@@ -108,7 +110,6 @@ class CoupledComplex:
             groups = [[s for s in simplices if len(s) == k] for k in range(1, top + 1)]
             rows = [np.array(g, dtype=np.int64).reshape(-1, k + 1) for k, g in enumerate(groups)]
         self.rows: list[np.ndarray] = rows
-        self._tuples: list[list[Simplex]] | None = None
         self._facet_index: dict[int, np.ndarray] = {}
         n_vertices = pair.n_total if pair is not None else np.inf
         outside = f"names a vertex outside 0..{n_vertices - 1}"
@@ -130,9 +131,13 @@ class CoupledComplex:
                 lacks = simplex[:drop] + simplex[drop + 1 :]
                 raise ValueError(f"complex not closed under faces: {simplex} lacks {lacks}")
 
-    @property
+    @cached_property
+    def _tuples(self) -> list[list[Simplex]]:
+        return [list(map(tuple, r.tolist())) for r in self.rows]
+
+    @cached_property
     def simplices(self) -> tuple[Simplex, ...]:
-        return tuple(s for k in range(len(self.rows)) for s in self.by_dim(k))
+        return tuple(s for group in self._tuples for s in group)
 
     def __len__(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -145,8 +150,6 @@ class CoupledComplex:
         return len(self.rows) - 1
 
     def by_dim(self, k: int) -> list[Simplex]:
-        if self._tuples is None:
-            self._tuples = [list(map(tuple, r.tolist())) for r in self.rows]
         return list(self._tuples[k]) if 0 <= k < len(self.rows) else []
 
     def counts(self) -> tuple[int, ...]:

@@ -10,11 +10,12 @@ far-away vertices ever enter a circumsphere computation.
 Points are inserted in a seeded random order (Amenta-Choi-Rote,
 "Incremental constructions con BRIO", 2003, without the rounds): a sweep
 in coordinate order walks along the hull and creates many short-lived
-cells. Each insertion is array work on its whole cavity: the boundary
-facets come from one sorted row match over the conflicting cells, and
-the new cells get their circumspheres and hull planes from one stacked
-square solve (``_certified_solve``; no QR per insertion). New cells take
-the rows of the cells the insertion killed before any new row, so the
+cells. Each insertion is a few array calls on its cavity: one lexsort of
+the conflicting cells' facets (gathered by an index built once) keeps
+those seen once as the boundary and refuses a facet seen three or more
+times, and one stacked square solve (``_certified_solve``) gives the new
+cells their circumspheres and hull planes. New cells refill the rows
+the insertion killed, kept in an int array, before any new row, so the
 conflict scan reads about as many rows as there are live cells.
 
 The result is verified post hoc from the spheres and planes the insertion
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import facets, unique
+from ._rows import facet_columns, facets, once, unique
 from .geometry import (
     EPS,
     DegenerateInput,
@@ -104,9 +105,11 @@ class _CellStore:
     circumsphere of its finite vertices (center, squared radius) and a
     unit outward normal with offset. Finite cells get normal 0 and offset
     0, so their side is always 0; dead rows get squared radius -inf, so
-    they never conflict. ``kill`` lists dead rows in ``free``, and ``add``
-    refills them before it appends, so ``count``, the rows ever used,
-    follows the live cells rather than every cell ever made.
+    they never conflict. ``kill`` appends dead rows to the int array
+    ``free``; ``add`` refills the last of them before it appends, so
+    ``count``, the rows ever used, follows the live cells rather than
+    every cell ever made. Built once: ``drop``, whose row j lists a row's
+    columns but j, and ``hull_cols``, a hull row's columns with -1 last.
 
     A point p conflicts with a row when ``side > tol``, or when
     ``|side| <= tol`` and p lies strictly inside the sphere. For a finite
@@ -128,7 +131,9 @@ class _CellStore:
         self.normals = np.zeros((capacity, m))
         self.offsets = np.zeros(capacity)
         self.count = 0  # rows ever used; the dead ones among them are listed in free
-        self.free: list[int] = []
+        self.free = np.zeros(0, dtype=np.intp)
+        self.drop = facet_columns(m + 1)
+        self.hull_cols = np.roll(np.arange(m + 1), -1)
 
     def add(self, cells: np.ndarray) -> None:
         """Store a (g, m+1) block of sorted cells with their spheres and planes.
@@ -146,9 +151,10 @@ class _CellStore:
         dependent names its cell in ``AmbiguousTriangulation``.
         """
         g, m = cells.shape[0], self.points.shape[1]
-        hull = cells[:, 0] == -1
+        hull = np.flatnonzero(cells[:, 0] == -1)
+        pts = self.points[cells]
         # Put a hull row's -1 (the interior point) last, behind its facet.
-        pts = self.points[np.where(hull[:, None], np.roll(cells, -1, axis=1), cells)]
+        pts[hull] = pts[hull[:, None], self.hull_cols]
         a = pts[:, 1:] - pts[:, :1]
         rhs = np.zeros((2, g, m))
         rhs[0] = 0.5 * np.einsum("gij,gij->gi", a, a)
@@ -160,21 +166,19 @@ class _CellStore:
             raise AmbiguousTriangulation(
                 f"cell {tuple(cells[exc.system].tolist())} is affinely degenerate within tolerance"
             ) from None
-        normals = np.zeros((g, m))
-        offsets = np.zeros(g)
-        if hull.any():
+        if len(hull):
             w = w[hull]
             length = np.linalg.norm(w, axis=1)
             flat = 1.0 / length <= self.side_tol
             if flat.any():
                 raise AmbiguousTriangulation(
-                    f"cannot orient hull cell {tuple(cells[hull][flat.argmax()].tolist())}; "
+                    f"cannot orient hull cell {tuple(cells[hull[flat.argmax()]].tolist())}; "
                     "input degenerate within tolerance"
                 )
             along = np.einsum("ij,ij->i", x[hull], w) / length**2
             x[hull] -= along[:, None] * w
-            normals[hull] = -w / length[:, None]
-            offsets[hull] = np.einsum("ij,ij->i", normals[hull], pts[hull, 0])
+            normals = -w / length[:, None]
+            offsets = np.einsum("ij,ij->i", normals, pts[hull, 0])
         centers = pts[:, 0] + x
         radii2 = np.linalg.norm(centers - pts[:, 0], axis=1) ** 2
 
@@ -190,19 +194,20 @@ class _CellStore:
                 pad = np.zeros((grow,) + arr.shape[1:], dtype=arr.dtype)
                 setattr(self, name, np.concatenate([arr, pad]))
             self.radii2[self.count :] = -np.inf
-        rows = np.concatenate([np.array(reused, dtype=np.intp), self.count + np.arange(fresh)])
+        rows = np.concatenate([reused, np.arange(self.count, self.count + fresh)])
         self.verts[rows] = cells
         self.centers[rows] = centers
         self.radii2[rows] = radii2
-        self.normals[rows] = normals
-        self.offsets[rows] = offsets
+        if len(hull):  # the other rows were killed or fresh, so their planes are 0
+            self.normals[rows[hull]] = normals
+            self.offsets[rows[hull]] = offsets
         self.count += fresh
 
     def kill(self, rows) -> None:
         self.radii2[rows] = -np.inf
         self.normals[rows] = 0.0
         self.offsets[rows] = 0.0
-        self.free.extend(np.asarray(rows).tolist())
+        self.free = np.concatenate([self.free, rows])
 
     def conflicts(self, p: np.ndarray) -> np.ndarray:
         k = self.count
@@ -210,7 +215,8 @@ class _CellStore:
         diff = self.centers[:k] - p
         inside = np.einsum("ij,ij->i", diff, diff) < self.radii2[:k]
         tol = self.side_tol
-        return np.nonzero((side > tol) | ((np.abs(side) <= tol) & inside))[0]
+        # side > tol, or |side| <= tol and inside.
+        return np.nonzero((side > tol) | ((side >= -tol) & inside))[0]
 
     def live(self) -> np.ndarray:
         return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
@@ -246,6 +252,7 @@ def _bowyer_watson(coords: np.ndarray) -> _CellStore:
     hull = unique(facets(start[None]))[0]
     store.add(np.vstack([start, np.column_stack([np.full(len(hull), -1), hull])]))
 
+    m = coords.shape[1]
     seeded = set(init)
     for p_idx in order.tolist():
         if p_idx in seeded:
@@ -255,15 +262,17 @@ def _bowyer_watson(coords: np.ndarray) -> _CellStore:
             raise AmbiguousTriangulation(
                 f"point {p_idx} conflicts with no cell; input degenerate within tolerance"
             )
-        cavity, counts = unique(facets(store.verts[bad]))
-        if (counts > 2).any():
+        boundary = once(store.verts[bad[:, None, None], store.drop].reshape(-1, m))
+        if boundary is None:
             raise AmbiguousTriangulation(
                 f"insertion cavity of point {p_idx} is inconsistent; "
                 "input degenerate within tolerance"
             )
         store.kill(bad)
-        boundary = cavity[counts == 1]
-        store.add(np.sort(np.column_stack([boundary, np.full(len(boundary), p_idx)]), axis=1))
+        cells = np.full((len(boundary), m + 1), p_idx)
+        cells[:, 1:] = boundary
+        cells.sort(axis=1)
+        store.add(cells)
     return store
 
 

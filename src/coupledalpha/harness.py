@@ -68,9 +68,10 @@ def run_trial(n: int, trial: int, dim: int, seed: int) -> ScalingRecord:
 def scaling_experiment(
     n_list, trials: int = 10, dim: int = 2, seed: int = 0
 ) -> list[ScalingRecord]:
-    """Scaling records for every (n, trial), ordered by (n, trial)."""
+    """Scaling records for every (n, trial), ordered by (n, trial); n strictly ascending."""
     n_list = [int(n) for n in n_list]
-    if sorted(n_list) != n_list:
+    # A repeated n would repeat its trials: their points derive from (seed, n, trial).
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("intensities must be ascending")
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")

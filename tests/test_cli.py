@@ -358,7 +358,11 @@ def test_malformed_n_list_is_a_usage_error(capsys, n_list):
 
 @pytest.mark.parametrize(
     "n_list,message",
-    [("16,8", "intensities must be ascending"), ("0,8", "intensity must be positive")],
+    [
+        ("16,8", "intensities must be ascending"),
+        ("8,8", "intensities must be ascending"),
+        ("0,8", "intensity must be positive"),
+    ],
 )
 def test_n_list_values_are_checked_by_the_experiment(capsys, n_list, message):
     code, out, err = run(capsys, ["scaling", "--n-list", n_list, "--trials", "1"])

@@ -50,6 +50,12 @@ def test_complex_closed_under_faces_and_counts(rng):
     assert cplx.dimension <= pair.dim + 1
 
 
+def test_simplices_are_made_once(rng):
+    cplx = coupled_alpha_infty(random_pair(rng))
+    assert cplx.simplices is cplx.simplices
+    assert tuple(cplx) == cplx.simplices
+
+
 def test_nerve_equality_small_instances(rng):
     for _ in range(8):
         pair = random_pair(rng, max_x=5, max_y=5)

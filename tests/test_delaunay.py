@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import Delaunay
 
 from coupledalpha import (
@@ -12,6 +14,8 @@ from coupledalpha import (
     delaunay_incremental,
     lift_clouds,
 )
+from coupledalpha import delaunay
+from coupledalpha._rows import facet_columns, facets, once, unique
 from coupledalpha.complexes import _closure
 from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay
 from coupledalpha.geometry import _bisector_points, _hull_coordinates
@@ -164,6 +168,52 @@ def test_store_reuses_dead_rows(monkeypatch):
     assert live <= store.count <= live + max(cavities)
     assert store.count - live == len(store.free)
     assert sum(cavities) > 2 * store.count  # without reuse, count would be live + sum(cavities)
+
+
+@st.composite
+def _cell_rows(draw):
+    """Sorted int rows of one width, -1 included, sometimes with a facet planted in three rows."""
+    width = draw(st.integers(2, 5))
+    vertices = st.lists(st.integers(-1, 8), min_size=width, max_size=width, unique=True)
+    rows = draw(st.lists(vertices.map(sorted), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.integers(-1, 8), min_size=width + 2, max_size=width + 2, unique=True))
+        rows += [sorted(extra[: width - 1] + [v]) for v in extra[width - 1 :]]
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cell_rows())
+def test_cavity_boundary_matches_unique_counts(rows):
+    # The insertion loop gathers a cavity's facets through the store's drop
+    # index and keeps those that occur once, refusing a facet seen 3+ times.
+    faces = rows[np.arange(len(rows))[:, None, None], facet_columns(rows.shape[1])]
+    faces = faces.reshape(-1, rows.shape[1] - 1)
+    assert np.array_equal(faces, facets(rows))
+    distinct, counts = unique(faces)
+    boundary = once(faces)
+    if (counts > 2).any():
+        assert boundary is None
+    else:
+        assert np.array_equal(boundary, distinct[counts == 1])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_certified_solve_per_insertion(monkeypatch, dim):
+    # All new cells of an insertion are solved in one stacked call, and the
+    # initial simplex with its hull cells in one more.
+    calls = []
+    solve = delaunay._certified_solve
+
+    def counted(a, r):
+        calls.append(len(a))
+        return solve(a, r)
+
+    monkeypatch.setattr(delaunay, "_certified_solve", counted)
+    rng = np.random.default_rng(4000 + dim)
+    lifted = lift_clouds(rng.random((40, dim)), rng.random((40, dim)))
+    _bowyer_watson(lifted)
+    assert len(calls) == 1 + len(lifted) - (dim + 2)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
