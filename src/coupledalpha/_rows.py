@@ -1,8 +1,9 @@
 """Sorted integer rows, the array form of simplices and cells.
 
 A row lists vertex indices in increasing order; a stored set of rows is
-distinct and in lexicographic order. Rows are matched by lexicographic
-sorts, never by keys packed into one integer, so nothing can overflow.
+distinct and in lexicographic order. ``unique`` makes one and locates its
+input rows in it with one lexicographic sort. Rows are never packed into
+one integer key, so nothing can overflow.
 """
 
 import numpy as np
@@ -21,12 +22,14 @@ def facets(rows: np.ndarray) -> np.ndarray:
 
 
 def unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in lexicographic order, and how often each occurs."""
-    rows = rows[np.lexsort(rows.T[::-1])]
+    """The distinct rows in lexicographic order, and the position of each input row among them."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
     first = np.ones(len(rows), dtype=bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
-    return rows[starts], np.diff(np.append(starts, len(rows)))
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
 
 
 def once(rows: np.ndarray) -> np.ndarray | None:
@@ -40,16 +43,3 @@ def once(rows: np.ndarray) -> np.ndarray | None:
     np.logical_not(same, out=differs[1:-1])
     return rows[differs[:-1] & differs[1:]]
 
-
-def match(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Position of each query in ``rows`` (a stored set), or -1 if absent."""
-    order = np.lexsort(np.concatenate([rows, queries]).T[::-1])
-    is_row = order < len(rows)
-    # The sort is stable, so a query lands right after its equal row.
-    at = (np.cumsum(is_row) - 1)[~is_row]
-    query = order[~is_row] - len(rows)
-    hit = at >= 0
-    hit[hit] = (rows[at[hit]] == queries[query[hit]]).all(axis=1)
-    out = np.full(len(queries), -1, dtype=np.intp)
-    out[query[hit]] = at[hit]
-    return out

@@ -86,6 +86,8 @@ def _emit(args, payload, rows) -> None:
 
 
 def _load_pair(args) -> PointCloudPair:
+    if args.dim is not None and args.dim < 1:
+        raise ValueError(f"dim must be at least 1, got {args.dim}")
     x = load_points(args.x, args.dim)
     y = load_points(args.y, args.dim) if args.y else None
     # The exhaustive checker is exponential; the `check` subcommand runs

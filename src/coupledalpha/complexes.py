@@ -8,7 +8,7 @@ the union, and project the faces back down by forgetting the extra
 coordinate. Vertex indices are global: X points come first, Y points
 follow, so a simplex is a sorted row of ints and its X/Y split is a
 threshold comparison. The complex keeps one array of such rows per
-dimension, made from the cells by sorted row operations (``_rows``).
+dimension, made from the cells top down by one ``_rows.unique`` each.
 
 The plain alpha complex of a single cloud is the same object with the
 other cloud empty (``PointCloudPair(points, None)``), and is computed
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rows import facets, match, unique
+from ._rows import facets, unique
 from .delaunay import _delaunay_cells
 from .geometry import DegenerateInput, GeneralPositionError, as_point_array, lift_clouds
 from .reference import check_coupled_general_position
@@ -89,45 +89,57 @@ class CoupledComplex:
     """A finite simplicial complex over a point-cloud pair.
 
     ``rows[k]`` holds the k-simplices as an (m_k, k+1) int array of sorted
-    global vertex indices, distinct and in lexicographic order (built from
-    sorted tuples unless given). ``simplices`` and ``by_dim`` list them as
-    tuples in (dimension, lexicographic) order, each made once on demand.
-    ``facet_index(k)`` locates the facets of the k-simplices among the
-    (k-1)-simplices, once per dimension for every layer that needs it.
+    global vertex indices, distinct and in lexicographic order. ``simplices``
+    and ``by_dim`` list them as tuples, each made once on demand.
+    ``facet_index(k)`` locates the facets of the k-simplices in ``rows[k-1]``.
 
-    The constructor refuses, with ``ValueError``, rows that are not a
-    complex: a row that is not strictly increasing, a vertex below 0 (or,
-    with a pair, at or above ``pair.n_total``), a given ``rows[k]`` that is
-    not distinct and in lexicographic order, or a simplex listed without
-    one of its facets. Every later layer relies on this.
+    Built from a listing of sorted tuples, closed under faces, or from
+    ``cells``: arrays of generating cells, one width each, in any order and
+    with repeats, closed here and joined by every vertex of the pair. One
+    ``unique`` per dimension, top down, of the k-simplices given and the
+    facets of the (k+1)-simplices yields ``rows[k]`` and ``facet_index(k+1)``.
+    It refuses, with ``ValueError``, a given simplex that is not strictly
+    increasing or names a vertex outside the pair (without a pair, a negative
+    one), and a listing that lacks a facet of a simplex it lists.
     """
 
-    def __init__(self, pair: PointCloudPair | None, simplices=(), rows=None):
+    def __init__(self, pair: PointCloudPair | None, simplices=(), cells=None):
         self.pair = pair  # None under a bare filtration
-        if rows is None:
-            simplices = sorted(set(simplices), key=lambda s: (len(s), s))
-            top = len(simplices[-1]) if simplices else 0
-            groups = [[s for s in simplices if len(s) == k] for k in range(1, top + 1)]
-            rows = [np.array(g, dtype=np.int64).reshape(-1, k + 1) for k, g in enumerate(groups)]
-        self.rows: list[np.ndarray] = rows
-        self._facet_index: dict[int, np.ndarray] = {}
-        n_vertices = pair.n_total if pair is not None else np.inf
-        outside = f"names a vertex outside 0..{n_vertices - 1}"
-        for r in rows:
-            step = np.diff(r, axis=0)  # each row exceeds the last at their first difference
-            lead = np.r_[1, step[np.arange(len(step)), (step != 0).argmax(axis=1)]]
+        listing = cells is None
+        if listing:
+            simplices = list(simplices)
+            widths = {len(s) for s in simplices} - {0}
+            cells = [np.array([s for s in simplices if len(s) == w], dtype=np.int64) for w in widths]
+        elif pair is not None:
+            cells = [np.arange(pair.n_total).reshape(-1, 1), *cells]
+        if pair is None:
+            n_vertices, outside = np.inf, "names a negative vertex"
+        else:
+            n_vertices, outside = pair.n_total, f"names a vertex outside 0..{pair.n_total - 1}"
+        for r in sorted(cells, key=lambda c: c.shape[1]):
             for bad, why in (
                 ((r[:, 1:] <= r[:, :-1]).any(axis=1), "is not strictly increasing"),
                 ((r[:, 0] < 0) | (r[:, -1] >= n_vertices), outside),
-                (lead <= 0, "is repeated or out of lexicographic order"),
             ):
                 if bad.any():
-                    raise ValueError(f"simplex {tuple(r[bad.argmax()].tolist())} {why}")
-        for k in range(1, len(rows)):
-            absent = np.argwhere(self.facet_index(k) < 0)
+                    first = r[bad][np.lexsort(r[bad].T[::-1])[0]]
+                    raise ValueError(f"simplex {tuple(first.tolist())} {why}")
+        self.rows, self._facet_index, listed = [], [], []
+        for w in range(max((c.shape[1] for c in cells if len(c)), default=0), 0, -1):
+            given = [c for c in cells if c.shape[1] == w]
+            above = [facets(self.rows[0])] if self.rows else []  # facets one dimension up
+            distinct, inverse = unique(np.concatenate(given + above))
+            n = sum(map(len, given))
+            if above:
+                self._facet_index.insert(0, inverse[n:].reshape(self.rows[0].shape))
+            if listing:
+                listed.insert(0, np.bincount(inverse[:n], minlength=len(distinct)) > 0)
+            self.rows.insert(0, distinct)
+        for k in range(1, len(listed)):
+            absent = np.argwhere(listed[k][:, None] & ~listed[k - 1][self.facet_index(k)])
             if len(absent):
                 i, drop = absent[0]
-                simplex = tuple(rows[k][i].tolist())
+                simplex = tuple(self.rows[k][i].tolist())
                 lacks = simplex[:drop] + simplex[drop + 1 :]
                 raise ValueError(f"complex not closed under faces: {simplex} lacks {lacks}")
 
@@ -158,20 +170,8 @@ class CoupledComplex:
 
     def facet_index(self, k: int) -> np.ndarray:
         """(m_k, k+1) array: entry (i, j) is the position in ``rows[k-1]`` of
-        ``rows[k][i]`` without its vertex j. An entry can be -1 (facet absent)
-        only while the constructor checks closure, which then refuses it."""
-        if k not in self._facet_index:
-            rows = self.rows[k]
-            self._facet_index[k] = match(self.rows[k - 1], facets(rows)).reshape(len(rows), k + 1)
-        return self._facet_index[k]
-
-
-def _closure(cells: np.ndarray, n_vertices: int) -> list[np.ndarray]:
-    """Rows of every face of the (sorted, distinct) cells per dimension, all vertices included."""
-    rows = [cells] if len(cells) else []
-    while rows and rows[-1].shape[1] > 2:
-        rows.append(unique(facets(rows[-1]))[0])
-    return [np.arange(n_vertices).reshape(-1, 1)] + rows[::-1]
+        ``rows[k][i]`` without its vertex j."""
+        return self._facet_index[k - 1]
 
 
 def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
@@ -199,4 +199,4 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
         raise DegenerateInput(f"{what}: points span only a {rank}-flat (expected {expected})")
     # Forgetting the height coordinate keeps vertex indices; faces of the
     # lifted cells are exactly the coupled simplices.
-    return CoupledComplex(pair, rows=_closure(cells, pair.n_total))
+    return CoupledComplex(pair, cells=[cells])

@@ -25,7 +25,7 @@ a common point. Values are computed top-down:
   one-ball Gabriel test against its own cloud. It runs as array
   comparisons over (facet, coface) rows, one per dropped vertex of each
   coface, read from the complex's ``facet_index``: the complex filled it
-  when it checked its own closure, so every facet is found, and the
+  in the same sort that closed it, so every facet is found, and the
   boundary matrix reads it too. A simplex that passes against every
   coface keeps its relaxed value, anything else inherits the minimum
   over its cofaces, scattered with ``np.minimum.at``.

@@ -176,6 +176,8 @@ def jitter(points, magnitude: float | None = None, seed: int | None = None) -> n
     stand-in for the diameter. Meant for callers that hit degeneracy
     errors and explicitly want general position restored.
     """
+    if magnitude is not None and not 0.0 <= magnitude < np.inf:
+        raise ValueError(f"jitter magnitude must be finite and non-negative, got {magnitude}")
     pts = as_point_array(points).copy()
     if pts.shape[0] == 0:
         return pts

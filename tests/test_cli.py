@@ -301,6 +301,18 @@ def test_scaling_rejects_dim_and_trials_below_one(capsys, option, value):
     assert err == f"error: {option[2:]} must be at least 1, got {value}\n"
 
 
+@pytest.mark.parametrize("command", ["build", "filtrate", "diagram", "compare", "check"])
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_cloud_commands_reject_dim_below_one(capsys, tmp_path, clouds, command, dim):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for inputs in ([str(empty)] * (1 + (command == "compare")), list(clouds)):
+        code, out, err = run(capsys, [command, *inputs, "--dim", dim])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: dim must be at least 1, got {dim}\n"
+
+
 def test_scaling_rejects_a_negative_seed(capsys):
     code, out, err = run(capsys, ["scaling", "--n-list", "8", "--trials", "1", "--seed", "-1"])
     assert code == 1

@@ -1,7 +1,12 @@
 """Coupled complex construction: nerve equality, labels, inclusions."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledalpha import (
     CoupledComplex,
@@ -10,6 +15,8 @@ from coupledalpha import (
     coupled_alpha_infty,
     lift_clouds,
 )
+from coupledalpha import complexes
+from coupledalpha._rows import unique
 from coupledalpha.filtration import FilteredComplex
 from coupledalpha.oracle import feasibility, feasibility_witness
 from conftest import alpha_infty, nerve_from_feasibility, random_pair, side, split_coords
@@ -148,30 +155,115 @@ def three_points():
     return PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[1.0, 1.0]], check=False)
 
 
+def by_width(listing):
+    """The listing as ``cells=`` arrays, one per width from 1 up."""
+    top = max(map(len, listing))
+    return [
+        np.array([s for s in listing if len(s) == k], dtype=np.int64).reshape(-1, k)
+        for k in range(1, top + 1)
+    ]
+
+
+def faces_of(simplex):
+    """Every non-empty face of a sorted tuple, itself included."""
+    return [
+        face for size in range(1, len(simplex) + 1)
+        for face in itertools.combinations(simplex, size)
+    ]
+
+
 @pytest.mark.parametrize("listing,message", list(BAD_LISTINGS.values()), ids=list(BAD_LISTINGS))
 def test_constructor_refuses_non_complex(listing, message):
-    top = max(map(len, listing))
-    rows = [np.array([s for s in listing if len(s) == k]).reshape(-1, k) for k in range(1, top + 1)]
     with pytest.raises(ValueError, match=message):
         CoupledComplex(three_points(), listing)
-    with pytest.raises(ValueError, match=message):
-        CoupledComplex(three_points(), rows=rows)
+    if "lacks" in message:  # cells generate their faces
+        assert set(CoupledComplex(three_points(), cells=by_width(listing))) == set(
+            itertools.chain.from_iterable(map(faces_of, listing))
+        )
+    else:
+        with pytest.raises(ValueError, match=message):
+            CoupledComplex(three_points(), cells=by_width(listing))
     with pytest.raises(ValueError):
         FilteredComplex({s: float(len(s) - 1) for s in listing})
 
 
 @pytest.mark.parametrize("vertices", [[[0], [2], [1]], [[0], [1], [1], [2]]], ids=["order", "repeat"])
 def test_given_rows_must_be_distinct_and_ordered(vertices):
-    with pytest.raises(ValueError, match=r"\(1,\) is repeated or out of lexicographic order"):
-        CoupledComplex(three_points(), rows=[np.array(vertices)])
+    # Cells in any order, or repeated, are stored distinct and in lexicographic order.
+    for pair in (None, three_points()):
+        for cplx in (CoupledComplex(pair, cells=[np.array(vertices)]),
+                     CoupledComplex(pair, [tuple(v) for v in vertices])):
+            assert [r.tolist() for r in cplx.rows] == [[[0], [1], [2]]]
+            assert list(cplx) == [(0,), (1,), (2,)]
+
+
+def test_pairless_complex_names_a_negative_vertex():
+    with pytest.raises(ValueError, match=r"^simplex \(-1,\) names a negative vertex$"):
+        FilteredComplex({(-1,): 0.0})
+    with pytest.raises(ValueError, match=r"^simplex \(-2, 0\) names a negative vertex$"):
+        CoupledComplex(None, cells=[np.array([[0, 1], [-2, 0]])])
+
+
+def test_cells_in_any_order_with_repeats_build_the_same_complex():
+    cells = np.array([[0, 1, 2], [0, 1, 2]])
+    shuffled = [np.array([[1, 2], [0, 2], [1, 2]]), cells, np.array([[2], [0]])]
+    for given in ([cells], shuffled):
+        cplx = CoupledComplex(three_points(), cells=given)
+        assert [r.tolist() for r in cplx.rows] == [
+            [[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]
+        ]
+        assert [cplx.facet_index(k).tolist() for k in (1, 2)] == [
+            [[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]
+        ]
+
+
+@st.composite
+def _listings(draw):
+    """Sorted tuples over vertices 0..7, as the generating cells of a complex."""
+    simplex = st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True).map(sorted)
+    return [tuple(s) for s in draw(st.lists(simplex, min_size=1, max_size=8))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_listings(), st.data())
+def test_one_pass_closes_and_indexes_listings(cells, data):
+    closure = set(itertools.chain.from_iterable(map(faces_of, cells)))
+    cplx = CoupledComplex(None, cells=by_width(cells))
+    assert set(cplx) == closure and len(cplx) == len(closure)
+    for k, rows in enumerate(cplx.rows):
+        assert rows.tolist() == sorted(s for s in map(list, closure) if len(s) == k + 1)
+    for k in range(1, len(cplx.rows)):
+        facet = cplx.facet_index(k)
+        for i, row in enumerate(cplx.rows[k].tolist()):
+            for j in range(k + 1):
+                assert cplx.rows[k - 1][facet[i, j]].tolist() == row[:j] + row[j + 1 :]
+    # The closed listing builds the same complex; without one face it is refused.
+    listed = CoupledComplex(None, sorted(closure, reverse=True))
+    assert len(listed.rows) == len(cplx.rows)
+    assert all(np.array_equal(a, b) for a, b in zip(listed.rows, cplx.rows))
+    dropped = data.draw(st.sampled_from(sorted(closure)))
+    if any(len(s) > len(dropped) for s in closure if set(dropped) <= set(s)):
+        lacks = re.escape(f"lacks {dropped}")
+        with pytest.raises(ValueError, match=rf"not closed under faces: .* {lacks}$"):
+            CoupledComplex(None, list(closure - {dropped}))
+
+
+def test_one_unique_per_dimension(rng, monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows.shape[1])
+        return unique(rows)
+
+    monkeypatch.setattr(complexes, "unique", counted)
+    cplx = coupled_alpha_infty(random_pair(rng))
+    assert calls == list(range(len(cplx.rows), 0, -1))
 
 
 def test_feasibility_matches_membership_at_infinity(rng):
     pair = random_pair(rng, max_x=4, max_y=4)
     cplx = coupled_alpha_infty(pair)
     members = set(cplx)
-    import itertools
-
     for size in (1, 2, 3):
         for combo in itertools.combinations(range(pair.n_total), size):
             assert feasibility(combo, pair) == (combo in members)

@@ -8,6 +8,7 @@ from scipy.spatial import Delaunay
 
 from coupledalpha import (
     AmbiguousTriangulation,
+    CoupledComplex,
     DegenerateInput,
     PointCloudPair,
     coupled_alpha_infty,
@@ -16,17 +17,17 @@ from coupledalpha import (
 )
 from coupledalpha import delaunay
 from coupledalpha._rows import facet_columns, facets, once, unique
-from coupledalpha.complexes import _closure
 from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay
 from coupledalpha.geometry import _bisector_points, _hull_coordinates
 from coupledalpha.reference import delaunay_bruteforce
 
 
 def test_single_triangle():
-    tri = delaunay_incremental([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    tri = delaunay_incremental(points)
     assert tri.cells == ((0, 1, 2),)
-    rows = _closure(np.array(tri.cells), 3)
-    assert [r.tolist() for r in rows] == [[[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]]
+    cplx = CoupledComplex(PointCloudPair(points, check=False), cells=[np.array(tri.cells)])
+    assert [r.tolist() for r in cplx.rows] == [[[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]]
 
 
 def test_two_routes_agree_random(rng):
@@ -190,7 +191,8 @@ def test_cavity_boundary_matches_unique_counts(rows):
     faces = rows[np.arange(len(rows))[:, None, None], facet_columns(rows.shape[1])]
     faces = faces.reshape(-1, rows.shape[1] - 1)
     assert np.array_equal(faces, facets(rows))
-    distinct, counts = unique(faces)
+    distinct, inverse = unique(faces)
+    counts = np.bincount(inverse)
     boundary = once(faces)
     if (counts > 2).any():
         assert boundary is None

@@ -1,18 +1,20 @@
 """Filtration values: the three-case solver, Gabriel logic, monotonicity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from coupledalpha import (
+    CoupledComplex,
     PointCloudPair,
     coupled_alpha_infty,
     coupled_filtration,
     persistence_diagram,
     relaxed_value,
 )
-from coupledalpha._rows import facets, match, unique
+from coupledalpha._rows import facets, unique
 from coupledalpha.filtration import (
     CASES,
     CIRCUMSPHERE,
@@ -303,16 +305,17 @@ def test_facet_lookup_takes_indices_beyond_packed_keys():
     queries = facets(coface)
     for j, extra in enumerate(coface[0].tolist()):
         assert sorted(queries[j].tolist() + [extra]) == coface[0].tolist()
-    rows, counts = unique(queries)
-    assert counts.tolist() == [1] * 8
-    facet = match(rows, queries)
+    rows, facet = unique(queries)
+    assert len(rows) == 8
     assert (rows[facet] == queries).all()
     assert sorted(facet.tolist()) == list(range(8))
-    # A facet missing from the rows is reported as -1 rather than misassigned.
-    facet = match(rows[1:], queries)
-    assert (facet == -1).sum() == 1
-    assert sorted(facet[facet >= 0].tolist()) == list(range(7))
-    assert (rows[1:][facet[facet >= 0]] == queries[facet >= 0]).all()
+    cplx = CoupledComplex(None, cells=[coface])
+    assert np.array_equal(cplx.rows[6], rows)
+    assert np.array_equal(cplx.facet_index(7)[0], facet)
+    # A listing without one of the facets is refused, naming the missing one.
+    listing = [tuple(s) for s in cplx.simplices if s != tuple(rows[0].tolist())]
+    with pytest.raises(ValueError, match=re.escape(f"lacks {tuple(rows[0].tolist())}")):
+        CoupledComplex(None, listing)
 
 
 def test_pure_radius_is_not_rounded_to_the_coordinates():

@@ -278,6 +278,13 @@ def test_jitter_reproducible_and_bounded():
     assert float(np.abs(a).max()) <= 1e-3
     c = jitter(pts, magnitude=1e-3, seed=6)
     assert not np.array_equal(a, c)
+    assert np.array_equal(jitter(pts, magnitude=0, seed=5), pts)
+
+
+@pytest.mark.parametrize("magnitude", [-1.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_jitter_refuses_a_bad_magnitude(magnitude):
+    with pytest.raises(ValueError, match=f"magnitude must be finite and non-negative, got {magnitude}$"):
+        jitter(np.zeros((3, 2)), magnitude=magnitude)
 
 
 def test_pairwise_scans_take_linear_memory():

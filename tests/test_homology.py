@@ -298,3 +298,21 @@ def test_slivers_are_not_reported_as_homology():
     slivers = [iv for iv in dgm.all_intervals if iv.dim == 3]
     assert slivers
     assert all(iv.length <= 1e-12 * iv.death for iv in slivers)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim,n_x,n_y", [(2, 150, 157), (3, 50, 57)])
+def test_swapping_the_clouds_relabels_the_complex(dim, n_x, n_y, seed):
+    # Lifting X to height 0 and Y to height 1 makes the swap a reflection of
+    # the lift, so the complex is the same up to labels and the diagram agrees.
+    rng = np.random.default_rng(seed)
+    x, y = rng.random((n_x, dim)), rng.random((n_y, dim))
+    cplx = coupled_alpha_infty(PointCloudPair(x, y, check=False))
+    swapped = coupled_alpha_infty(PointCloudPair(y, x, check=False))
+    # Swapped index i < n_y is Y[i], global n_x + i here; the rest are X.
+    label = np.concatenate([np.arange(n_x, n_x + n_y), np.arange(n_x)])
+    relabelled = {tuple(sorted(label[list(s)].tolist())) for s in swapped}
+    assert swapped.counts() == cplx.counts() and relabelled == set(cplx)
+    a = persistence_diagram(coupled_filtration(cplx))
+    b = persistence_diagram(coupled_filtration(swapped))
+    assert diagram_discrepancy(a, b) <= 1e-12
