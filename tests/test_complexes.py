@@ -217,6 +217,30 @@ def test_cells_in_any_order_with_repeats_build_the_same_complex():
         ]
 
 
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        ([np.array([1, 2])], r"int64 of shape \(2,\)"),
+        ([np.zeros((2, 0), dtype=np.int64)], r"int64 of shape \(2, 0\)"),
+        ([np.array([[0.5, 1.0]])], r"float64 of shape \(1, 2\)"),
+        ([[[0], [1.5]]], r"float64 of shape \(2, 1\)"),
+        ([np.array([[True, False]])], r"bool of shape \(1, 2\)"),
+    ],
+    ids=["1-D", "width 0", "float", "float list", "bool"],
+)
+def test_cells_must_be_integer_matrices(cells, message):
+    prefix = "^cells must be 2-D integer arrays of width at least 1, not "
+    with pytest.raises(ValueError, match=prefix + message):
+        CoupledComplex(three_points(), cells=cells)
+
+
+def test_cells_may_be_nested_lists_empty_or_unsigned():
+    given = [[[0, 2]], np.zeros((0, 3), dtype=np.int64), np.array([[0, 1]], dtype=np.uint8)]
+    cplx = CoupledComplex(three_points(), cells=given)
+    assert [r.tolist() for r in cplx.rows] == [[[0], [1], [2]], [[0, 1], [0, 2]]]
+    assert all(r.dtype == np.int64 for r in cplx.rows)
+
+
 @st.composite
 def _listings(draw):
     """Sorted tuples over vertices 0..7, as the generating cells of a complex."""

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledalpha import (
     PointCloudPair,
@@ -167,8 +169,9 @@ def test_filtration_order_breaks_ties_by_dimension_then_vertices():
 
 def test_persistence_memory_follows_the_nonzeros():
     # A seeded d=3 100+100 pair of about 18,000 simplices. Bitmask columns as
-    # wide as each simplex's filtration position peak at 22 MiB here; facet
-    # index arrays, and bitmasks over ranks for reduced columns only, at 4 MiB.
+    # wide as each simplex's filtration position peaked at 22 MiB here, and
+    # bitmasks over ranks for the reduced columns at 4 MiB; facet index arrays,
+    # with stored columns as lists and sets of ranks, peak at 2.3 MiB.
     rng = np.random.default_rng(5)
     pair = PointCloudPair(rng.random((100, 3)), rng.random((100, 3)), check=False)
     fc = coupled_filtration(coupled_alpha_infty(pair))
@@ -179,6 +182,58 @@ def test_persistence_memory_follows_the_nonzeros():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_reduction_memory_grows_with_the_simplices():
+    # Stored columns as lists and sets take memory per nonzero: the peak per
+    # simplex grows x1.07 from 100+100 to 200+200 here, where bitmasks as wide
+    # as each pivot's rank grew x1.66.
+    per_simplex = []
+    for n in (100, 200):
+        rng = np.random.default_rng(5)
+        pair = PointCloudPair(rng.random((n, 3)), rng.random((n, 3)), check=False)
+        _, columns = boundary_matrix(coupled_filtration(coupled_alpha_infty(pair)))
+        tracemalloc.start()
+        try:
+            reduce_and_pair(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_simplex.append(peak / sum(map(len, columns)))
+    assert per_simplex[1] <= 1.25 * per_simplex[0]
+
+
+@st.composite
+def _monotone_filtrations(draw):
+    """Closed complexes on at most 7 vertices up to dimension 3, with monotone
+    values from {0, 1, 2}, so that ties and clearing are common."""
+    simplex = st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True).map(sorted)
+    cells = draw(st.lists(simplex, min_size=1, max_size=10))
+    faces = {f for c in cells for size in range(1, 5) for f in itertools.combinations(c, size)}
+    values = {}
+    for s in sorted(faces, key=len):
+        facets = [s[:d] + s[d + 1 :] for d in range(len(s))] if len(s) > 1 else []
+        values[s] = max([float(draw(st.sampled_from((0, 1, 2))))] + [values[f] for f in facets])
+    return FilteredComplex(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monotone_filtrations())
+def test_reduction_matches_the_reference_on_random_complexes(fc):
+    simplices, pairs = reference_pairs(fc)
+    assert _simplex_pairs(fc) == {(simplices[i], simplices[j]) for i, j in pairs}
+
+
+def test_a_nan_value_is_refused():
+    for values, simplex in (
+        ({(0,): 0.0, (1,): 0.0, (0, 1): math.nan}, r"\(0, 1\)"),
+        ({(0,): 0.0, (1,): math.nan, (0, 1): 1.0}, r"\(1,\)"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{simplex} has value nan$"):
+            persistence_diagram(FilteredComplex(values))
+    # An infinite value stays allowed: the edge kills one class at infinity.
+    late = persistence_diagram(FilteredComplex({(0,): 0.0, (1,): 0.0, (0, 1): math.inf}))
+    assert late.all_intervals == [Interval(0, 0.0, math.inf)] * 2
 
 
 def test_triangle_diagram_by_hand():
