@@ -98,10 +98,12 @@ class CoupledComplex:
     with repeats, closed here and joined by every vertex of the pair. One
     ``unique`` per dimension, top down, of the k-simplices given and the
     facets of the (k+1)-simplices yields ``rows[k]`` and ``facet_index(k+1)``.
-    It refuses, with ``ValueError``, ``cells`` that are not 2-D integer arrays
-    of width at least 1, a given simplex that is not strictly increasing or
-    names a vertex outside the pair (without a pair, a negative one), and a
-    listing that lacks a facet of a simplex it lists.
+    A listing passes the same checks as one array per width. It refuses,
+    with ``ValueError``, ``cells`` that are not 2-D integer arrays of width
+    at least 1 (naming a listing's first simplex with a non-integer vertex),
+    a given simplex that is not strictly increasing or names a vertex
+    outside the pair (without a pair, a negative one), and a listing that
+    lacks a facet of a simplex it lists.
     """
 
     def __init__(self, pair: PointCloudPair | None, simplices=(), cells=None):
@@ -110,19 +112,21 @@ class CoupledComplex:
         if listing:
             simplices = list(simplices)
             widths = {len(s) for s in simplices} - {0}
-            cells = [np.array([s for s in simplices if len(s) == w], dtype=np.int64) for w in widths]
-        else:
-            cells = [np.asarray(c) for c in cells]
-            for c in cells:
-                if c.ndim != 2 or c.shape[1] < 1 or c.dtype.kind not in "iu":
-                    raise ValueError(
-                        "cells must be 2-D integer arrays of width at least 1,"
-                        f" not {c.dtype} of shape {c.shape}"
-                    )
-            # One signed dtype, so the concatenations below stay integer.
-            cells = [c.astype(np.int64, copy=False) for c in cells]
-            if pair is not None:
-                cells = [np.arange(pair.n_total).reshape(-1, 1), *cells]
+            cells = [np.array([s for s in simplices if len(s) == w]) for w in widths]
+        cells = [np.asarray(c) for c in cells]
+        for c in cells:
+            if c.ndim != 2 or c.shape[1] < 1 or c.dtype.kind not in "iu":
+                for s in simplices if listing else ():
+                    if np.asarray(s).dtype.kind not in "iu":
+                        raise ValueError(f"simplex {tuple(s)} has a non-integer vertex")
+                raise ValueError(
+                    "cells must be 2-D integer arrays of width at least 1,"
+                    f" not {c.dtype} of shape {c.shape}"
+                )
+        # One signed dtype, so the concatenations below stay integer.
+        cells = [c.astype(np.int64, copy=False) for c in cells]
+        if pair is not None and not listing:
+            cells = [np.arange(pair.n_total).reshape(-1, 1), *cells]
         if pair is None:
             n_vertices, outside = np.inf, "names a negative vertex"
         else:

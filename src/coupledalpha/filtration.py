@@ -6,15 +6,16 @@ a common point. Values are computed top-down:
 
 * The relaxed value ignores the Voronoi restriction: minimize the larger
   of the two cloud radii over the affine set of centers equidistant from
-  Q's X part and, separately, from its Y part. The minimizer is one of
-  three candidates -- the X-side projection if its X radius dominates
-  there, else the Y-side projection if its Y radius dominates there, else
-  the center of the smallest sphere through all of Q. That last candidate
-  applies only below d+2 vertices: with d+2 the two bisector flats meet
-  in one point, which is both projections. ``_relaxed_batch`` is the
-  one spelling of this case analysis: it solves a dimension's simplices
-  per (|Q_X|, |Q_Y|) type, rows with the same X count gathered into one
-  (g, k+1, d) array and solved by stacked bisector solves, and
+  Q's X part and, separately, from its Y part. There each squared radius
+  is the squared distance to that side's projection, p_X or p_Y, plus a
+  constant, so the minimizer is p_X if its X radius dominates there, else
+  p_Y if its Y radius dominates there, else the point of [p_X, p_Y] where
+  the radii are equal (their squared difference is affine along it): the
+  center of the smallest sphere through all of Q. With d+2 vertices the
+  flat is one point, both projections. ``_relaxed_batch`` is the one
+  spelling of this case analysis: it solves a dimension's simplices per
+  (|Q_X|, |Q_Y|) type, rows with the same X count gathered into one
+  (g, k+1, d) array and solved by one stacked bisector solve, and
   ``relaxed_value`` is its one-row call.
 * ``coupled_filtration`` walks the complex from the top dimension down,
   one batched pass per dimension. The coupled Gabriel test decides
@@ -52,10 +53,6 @@ Y_DOMINANT = "Y_DOMINANT"
 CIRCUMSPHERE = "CIRCUMSPHERE"
 # Case names by the codes 0, 1, 2 that ``_relaxed_batch`` returns.
 CASES = (X_DOMINANT, Y_DOMINANT, CIRCUMSPHERE)
-
-# Absolute slack when comparing the two candidate radii for dominance.
-_TIE_EPS = 1e-12
-
 
 class DimensionOverflow(GeometryError):
     """A simplex has more vertices than the ambient dimension allows."""
@@ -189,13 +186,14 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
 
     ``rows`` is an (m, k+1) array of sorted global vertex indices, so X
     ones come first. Rows are grouped by their X count and each group is
-    solved in stacked bisector solves: pure rows shifted to their first
+    solved in one stacked bisector solve: pure rows shifted to their first
     vertex, mixed rows shifted to their centroid, with the X and Y
-    candidates sharing one factorization and the circumsphere solved only
-    where neither radius dominates. Returns ``(center, radius_x, radius_y, case)``
-    of shapes (m, d), (m,), (m,), (m,); ``case`` holds the index into
-    ``CASES`` of the candidate that won (a pure row is dominated by its
-    own cloud). Every bisector system is square or wide.
+    projections sharing one factorization; the circumsphere candidate is
+    then in closed form, and signs pick the case, with no tie tolerance.
+    Returns ``(center, radius_x, radius_y, case)`` of shapes (m, d), (m,),
+    (m,), (m,); ``case`` holds the index into ``CASES`` of the candidate
+    that won (a pure row is dominated by its own cloud). Every bisector
+    system is square or wide.
     """
     m, size = rows.shape
     dim = points.shape[1]
@@ -231,26 +229,21 @@ def _relaxed_batch(points: np.ndarray, n_x: int, rows: np.ndarray):
         # Bisector pairs: every other X vertex with x1, every other Y vertex with y1.
         first = [0] * (n_qx - 1) + [n_qx] * (size - n_qx - 1)
         other = list(range(1, n_qx)) + list(range(n_qx + 1, size))
-        # The X and Y candidates share the bisector rows: (2, g, dim).
-        c = _bisector_points(pts[:, first], pts[:, other], np.stack([x1, y1]))
-        r_x = np.linalg.norm(c - x1, axis=-1)
-        r_y = np.linalg.norm(c - y1, axis=-1)
-        pick = np.where(r_x[0] >= r_y[0] - _TIE_EPS, 0, 1)
-        # With d + 2 vertices the bisector system is square: the X and Y
-        # candidates are one point, and the circumsphere step is skipped.
-        both = np.flatnonzero((pick == 1) & (r_x[1] > r_y[1] + _TIE_EPS) & (size < dim + 2))
-        g = np.arange(len(sel))
-        c, r_x, r_y = c[pick, g], r_x[pick, g], r_y[pick, g]
-        pick[both] = 2  # the case code: 0 and 1 name the candidate taken
-        if both.size:
-            # Both radii active: the minimizer is the center of the smallest
-            # sphere through all of the simplex.
-            on = pts[both]
-            c[both] = _bisector_points(on[:, first + [0]], on[:, other + [n_qx]], x1[both])
-            r_x[both] = np.linalg.norm(c[both] - x1[both], axis=1)
-            r_y[both] = np.linalg.norm(c[both] - y1[both], axis=1)
+        # The X and Y projections p_X, p_Y share the bisector rows: (2, g, dim).
+        p = _bisector_points(pts[:, first], pts[:, other], np.stack([x1, y1]))
+        # On the flat r_X² = |c - p_X|² + const and r_Y² = |c - p_Y|² + const, so
+        # r_Y² - r_X² is affine along [p_X, p_Y]: g_x at p_X, -g_y at p_Y.
+        sq_x = np.square(p - x1).sum(axis=-1)
+        sq_y = np.square(p - y1).sum(axis=-1)
+        g_x, g_y = sq_y[0] - sq_x[0], sq_x[1] - sq_y[1]
+        code = np.where(g_x <= 0, 0, np.where(g_y <= 0, 1, 2))
+        # t = 0 and 1 return p_X and p_Y exactly; in between both radii are equal.
+        t = (code == 1).astype(float)
+        both = code == 2
+        t[both] = g_x[both] / (g_x[both] + g_y[both])
+        c = (1.0 - t)[:, None] * p[0] + t[:, None] * p[1]
         center[sel] = c + shift
-        radius_x[sel] = r_x
-        radius_y[sel] = r_y
-        case[sel] = pick
+        radius_x[sel] = np.linalg.norm(c - x1, axis=1)
+        radius_y[sel] = np.linalg.norm(c - y1, axis=1)
+        case[sel] = code
     return center, radius_x, radius_y, case

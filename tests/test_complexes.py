@@ -204,6 +204,14 @@ def test_pairless_complex_names_a_negative_vertex():
         CoupledComplex(None, cells=[np.array([[0, 1], [-2, 0]])])
 
 
+def test_listing_refuses_a_non_integer_vertex():
+    # A listing goes through the integer check of ``cells=``; nothing is truncated.
+    with pytest.raises(ValueError, match=r"^simplex \(1\.9,\) has a non-integer vertex$"):
+        CoupledComplex(None, [(0,), (1.9,), (0, 1.2)])
+    with pytest.raises(ValueError, match=r"^simplex \(0\.5,\) has a non-integer vertex$"):
+        FilteredComplex({(0.5,): 0.0, (1,): 0.0})
+
+
 def test_cells_in_any_order_with_repeats_build_the_same_complex():
     cells = np.array([[0, 1, 2], [0, 1, 2]])
     shuffled = [np.array([[1, 2], [0, 2], [1, 2]]), cells, np.array([[2], [0]])]

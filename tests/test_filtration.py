@@ -14,6 +14,7 @@ from coupledalpha import (
     persistence_diagram,
     relaxed_value,
 )
+from coupledalpha import filtration
 from coupledalpha._rows import facets, unique
 from coupledalpha.filtration import (
     CASES,
@@ -29,6 +30,7 @@ from conftest import (
     alpha_filtration,
     at_radius,
     check_monotone,
+    lstsq_bisector,
     max_value,
     minimize_relaxed,
     random_pair,
@@ -89,6 +91,23 @@ def test_relaxed_value_matches_direct_minimization(rng):
         fast = relaxed_value(q_x, q_y).relaxed_radius
         reference = minimize_relaxed(q_x, q_y)
         assert fast == pytest.approx(reference, abs=1e-7)
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-4, 1e-6])
+def test_relaxed_value_is_scale_invariant_near_a_tie(a):
+    # Two X vertices on the y-axis and one Y vertex at (s a, a): the X radius
+    # a dominates up to s = 1, beyond it the circumsphere has radius
+    # a (s² + 1) / 2s. Just past the tie the case must not depend on a.
+    def solve(s, a):
+        return relaxed_value([[0.0, 0.0], [0.0, 2 * a]], [[s * a, a]])
+
+    for s in (0.5, 0.75, 0.999, 1.0, 1 + 5e-7, 1.001, 1.5, 2.0, 3.0):
+        sol = solve(s, a)
+        assert sol.case == (X_DOMINANT if s <= 1 else CIRCUMSPHERE)
+        expected = a if s <= 1 else a * (s * s + 1) / (2 * s)
+        assert sol.relaxed_radius == pytest.approx(expected, rel=1e-14, abs=0.0)
+    unit = solve(1 + 5e-7, 1.0).relaxed_radius
+    assert solve(1 + 5e-7, a).relaxed_radius / a == pytest.approx(unit, rel=1e-14, abs=0.0)
 
 
 def test_relaxed_value_pure_simplex_is_circumradius():
@@ -281,6 +300,35 @@ def test_batched_relaxed_values_match_scalar():
         (a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 5
     }
     assert {key[3] for key in sample} == set(CASES)
+
+
+def test_one_bisector_solve_per_type(monkeypatch):
+    # A group of rows with the same X count takes one stacked solve; the
+    # circumsphere center is the point of [p_X, p_Y] where the radii agree.
+    calls = []
+    solve = filtration._bisector_points
+
+    def counted(u, v, p):
+        calls.append(u.shape)
+        return solve(u, v, p)
+
+    monkeypatch.setattr(filtration, "_bisector_points", counted)
+    met = 0
+    for cplx in _seeded_complexes():
+        pair = cplx.pair
+        for k in range(1, cplx.dimension + 1):
+            rows = cplx.rows[k]
+            calls.clear()
+            center, radius_x, radius_y, case = _relaxed_batch(pair.points, pair.n_x, rows)
+            assert len(calls) == len(np.unique((rows < pair.n_x).sum(axis=1)))
+            for i in np.flatnonzero(case == CASES.index(CIRCUMSPHERE)).tolist():
+                q = pair.points[rows[i]]
+                ref = lstsq_bisector(q[:1], q[1:], q[0])
+                scale = max(radius_x[i], float(np.abs(ref).max()))
+                assert np.abs(center[i] - ref).max() <= 1e-12 * scale
+                assert radius_x[i] == pytest.approx(radius_y[i], rel=1e-12, abs=0.0)
+                met += 1
+    assert met
 
 
 def test_coupled_filtration_matches_reference_walk():
