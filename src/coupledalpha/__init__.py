@@ -12,7 +12,7 @@ can expect. Everything else is reached through its submodule.
 from .complexes import CoupledComplex, PointCloudPair, coupled_alpha_infty
 from .delaunay import AmbiguousTriangulation, delaunay_incremental
 from .filtration import coupled_filtration, relaxed_value
-from .geometry import EPS, DegenerateInput, GeneralPositionError, GeometryError, jitter, lift_clouds
+from .geometry import EPS, DegenerateInput, GeometryError, jitter, lift_clouds
 from .harness import scaling_experiment
 from .homology import boundary_matrix, persistence_diagram, reduce_and_pair
 from .oracle import diagram_discrepancy_vs_reference
@@ -25,7 +25,6 @@ __all__ = [
     "CoupledComplex",
     "DegenerateInput",
     "EPS",
-    "GeneralPositionError",
     "GeometryError",
     "PointCloudPair",
     "boundary_matrix",

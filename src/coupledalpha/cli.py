@@ -5,7 +5,8 @@ Subcommands:
 * ``build``     emit the complex at r = infinity as one simplex per row
 * ``filtrate``  emit sorted (value, dim, vertices) rows
 * ``diagram``   emit persistence intervals per dimension
-* ``compare``   coupled diagram vs brute-force reference on the union
+* ``compare``   coupled diagram vs brute-force reference on the union,
+  at most 16 points in all (``oracle._CECH_CAP``; more exit 1, ``TooLarge``)
 * ``scaling``   Poisson scaling table with linear fits
 * ``check``     general-position report
 
@@ -90,9 +91,7 @@ def _load_pair(args) -> PointCloudPair:
         raise ValueError(f"dim must be at least 1, got {args.dim}")
     x = load_points(args.x, args.dim)
     y = load_points(args.y, args.dim) if args.y else None
-    # The exhaustive checker is exponential; the `check` subcommand runs
-    # it explicitly, construction relies on the triangulation guards.
-    return PointCloudPair(x, y, check=False)
+    return PointCloudPair(x, y)
 
 
 def cmd_build(args) -> int:

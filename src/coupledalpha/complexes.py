@@ -18,29 +18,35 @@ directly from the cloud's Delaunay triangulation.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from ._rows import facets, unique
 from .delaunay import _delaunay_cells
-from .geometry import DegenerateInput, GeneralPositionError, as_point_array, lift_clouds
-from .reference import check_coupled_general_position
+from .geometry import DegenerateInput, as_point_array, lift_clouds
 
 Simplex = tuple[int, ...]
+
+
+def _integer_type(t: type) -> bool:
+    """Python and NumPy integers; not bool, which ``int`` subclasses."""
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
 
 
 class PointCloudPair:
     """Two finite point clouds in a common R^d with global vertex indexing.
 
-    By default the coupled general-position check runs on construction and
-    raises ``GeneralPositionError`` on failure; pass ``check=False`` to
-    waive it (the check is exhaustive over subsets, so waiving is the
-    normal thing to do for more than a few dozen points). The check is a
-    reference and decides ties with its own tolerance ``reference.TOL``;
-    the triangulation and the filtration read ``geometry.EPS``.
+    The constructor validates shapes only. Ambiguous inputs are refused by
+    ``coupled_alpha_infty``, with ``AmbiguousTriangulation`` or
+    ``DegenerateInput``; the exhaustive coupled general-position audit is
+    ``reference.check_coupled_general_position``.
     """
 
-    def __init__(self, x, y=None, *, check: bool = True):
+    def __init__(self, x, y=None, *, check: bool = False):
+        # ``check`` is kept only for the benchmark's pinned ``check=False`` call.
+        if check:
+            raise TypeError("PointCloudPair does not audit; use check_coupled_general_position(x, y)")
         x = as_point_array(x)
         if y is None:
             y = np.zeros((0, x.shape[1] if x.size else 0))
@@ -54,10 +60,6 @@ class PointCloudPair:
         self.y = y.reshape(y.shape[0], dim)
         self.dim = dim
         self._points = np.vstack([self.x, self.y]) if dim else np.zeros((0, 0))
-        if check and (x.shape[0] or y.shape[0]):
-            ok, violations = check_coupled_general_position(self.x, self.y)
-            if not ok:
-                raise GeneralPositionError(violations)
 
     @property
     def n_x(self) -> int:
@@ -98,12 +100,13 @@ class CoupledComplex:
     with repeats, closed here and joined by every vertex of the pair. One
     ``unique`` per dimension, top down, of the k-simplices given and the
     facets of the (k+1)-simplices yields ``rows[k]`` and ``facet_index(k+1)``.
-    A listing passes the same checks as one array per width. It refuses,
-    with ``ValueError``, ``cells`` that are not 2-D integer arrays of width
-    at least 1 (naming a listing's first simplex with a non-integer vertex),
-    a given simplex that is not strictly increasing or names a vertex
-    outside the pair (without a pair, a negative one), and a listing that
-    lacks a facet of a simplex it lists.
+    A listing passes the same checks as one array per width, after its
+    vertices are checked one by one. It refuses, with ``ValueError``, a
+    listed simplex with a vertex that is not an integer (a bool included),
+    ``cells`` that are not 2-D integer arrays of width at least 1, a given
+    simplex that is not strictly increasing or names a vertex outside the
+    pair (without a pair, a negative one), and a listing that lacks a facet
+    of a simplex it lists.
     """
 
     def __init__(self, pair: PointCloudPair | None, simplices=(), cells=None):
@@ -111,14 +114,15 @@ class CoupledComplex:
         listing = cells is None
         if listing:
             simplices = list(simplices)
+            # Vertex by vertex, as one array would read True as 1 beside an int.
+            if not all(map(_integer_type, set(map(type, chain.from_iterable(simplices))))):
+                first = next(s for s in simplices if not all(map(_integer_type, map(type, s))))
+                raise ValueError(f"simplex {tuple(first)} has a non-integer vertex")
             widths = {len(s) for s in simplices} - {0}
             cells = [np.array([s for s in simplices if len(s) == w]) for w in widths]
         cells = [np.asarray(c) for c in cells]
         for c in cells:
             if c.ndim != 2 or c.shape[1] < 1 or c.dtype.kind not in "iu":
-                for s in simplices if listing else ():
-                    if np.asarray(s).dtype.kind not in "iu":
-                        raise ValueError(f"simplex {tuple(s)} has a non-integer vertex")
                 raise ValueError(
                     "cells must be 2-D integer arrays of width at least 1,"
                     f" not {c.dtype} of shape {c.shape}"

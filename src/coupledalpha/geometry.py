@@ -45,16 +45,6 @@ class RankDeficient(GeometryError):
         self.system = system
 
 
-class GeneralPositionError(GeometryError):
-    """A point-cloud pair violates coupled general position (``reference.Violation`` list)."""
-
-    def __init__(self, violations: list):
-        self.violations = violations
-        preview = ", ".join(str(v) for v in violations[:3])
-        more = "" if len(violations) <= 3 else f" (+{len(violations) - 3} more)"
-        super().__init__(f"general position violated: {preview}{more}")
-
-
 def as_point_array(points, dim: int | None = None) -> np.ndarray:
     """Validate and convert to a float64 array of shape (n, d)."""
     pts = np.asarray(points, dtype=float)

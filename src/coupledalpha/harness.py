@@ -49,15 +49,12 @@ def run_trial(n: int, trial: int, dim: int, seed: int) -> ScalingRecord:
     """Sample one (X, Y) pair and count the simplices of its complex.
 
     Each cloud gets its own generator split from (seed, n, trial, side),
-    so records are reproducible no matter how trials are scheduled. The
-    exhaustive general-position checker is quadratic-to-exponential in the
-    input, so at these sizes correctness rests on the triangulation
-    refusing ambiguous inputs instead.
+    so records are reproducible no matter how trials are scheduled.
     """
     x = sample_poisson(n, dim, [seed, n, trial, 0])
     y = sample_poisson(n, dim, [seed, n, trial, 1])
     start = time.perf_counter()
-    pair = PointCloudPair(x, y, check=False)
+    pair = PointCloudPair(x, y)
     cplx = coupled_alpha_infty(pair)
     elapsed = time.perf_counter() - start
     counts = cplx.counts()

@@ -12,8 +12,7 @@ From the rest of the package it imports only ``as_point_array``,
 ``_hull_coordinates`` and ``lift_clouds`` from ``geometry``, the error
 classes, and ``Triangulation`` and ``AmbiguousTriangulation`` from
 ``delaunay``; never a tolerance, ``delaunay._prepare`` or a solver.
-``complexes`` takes ``check_coupled_general_position`` from here for
-``PointCloudPair(check=True)``, and ``oracle`` builds on the rest.
+No fast path imports from here; ``oracle`` builds on it.
 """
 
 from __future__ import annotations

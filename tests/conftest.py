@@ -16,11 +16,11 @@ from coupledalpha.homology import Interval, PersistenceDiagram
 from coupledalpha.oracle import feasibility
 
 
-def random_pair(rng, dim=2, max_x=6, max_y=6, check=False):
+def random_pair(rng, dim=2, max_x=6, max_y=6):
     """Uniform clouds in the unit cube with nonempty X and Y."""
     n_x = int(rng.integers(1, max_x + 1))
     n_y = int(rng.integers(1, max_y + 1))
-    return PointCloudPair(rng.random((n_x, dim)), rng.random((n_y, dim)), check=check)
+    return PointCloudPair(rng.random((n_x, dim)), rng.random((n_y, dim)))
 
 
 def nerve_from_feasibility(pair, max_size):
@@ -176,7 +176,7 @@ def reference_walk(cplx):
 
 def alpha_infty(points):
     """The alpha complex of a single cloud: the pair with an empty second cloud."""
-    return coupled_alpha_infty(PointCloudPair(points, None, check=False))
+    return coupled_alpha_infty(PointCloudPair(points, None))
 
 
 def alpha_filtration(points):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from coupledalpha import (
+    check_coupled_general_position,
     coupled_alpha_infty,
     coupled_filtration,
     diagram_discrepancy_vs_reference,
@@ -49,7 +50,9 @@ def test_acceptance_1_complex_equals_nerve(report):
     rng = np.random.default_rng(424242)
     ok = True
     for _ in range(50):
-        pair = random_pair(rng, max_x=10, max_y=10, check=True)
+        pair = random_pair(rng, max_x=10, max_y=10)
+        general, violations = check_coupled_general_position(pair.x, pair.y)
+        assert general, violations
         fast = set(coupled_alpha_infty(pair))
         reference = nerve_from_feasibility(pair, max_size=pair.dim + 3)
         if fast != reference:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coupledalpha.cli import load_points, load_simplices, main
@@ -202,6 +203,22 @@ def test_compare_pass_and_fail_exit_codes(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["max_discrepancy"] <= 1e-9
+
+
+def test_compare_refuses_more_points_than_the_reference_cap(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    x = tmp_path / "x.csv"
+    y = tmp_path / "y.csv"
+    for path in (x, y):
+        path.write_text("".join(f"{a!r},{b!r}\n" for a, b in rng.random((10, 2)).tolist()))
+    code, out, err = run(capsys, ["compare", str(x), str(y)])
+    assert (code, out) == (1, "")
+    assert err == "error: 20 points exceed the brute-force cap 16\n"
+    code, out, err = run(capsys, ["compare", str(x), str(y), "--format", "json"])
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "TooLarge", "message": "20 points exceed the brute-force cap 16"
+    }
 
 
 def test_missing_file_reports_error(capsys, tmp_path):

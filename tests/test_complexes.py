@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledalpha import (
+    AmbiguousTriangulation,
     CoupledComplex,
     DegenerateInput,
     PointCloudPair,
@@ -23,7 +24,7 @@ from conftest import alpha_infty, nerve_from_feasibility, random_pair, side, spl
 
 
 def test_pair_indexing_and_splits():
-    pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[0.5, 1.0]], check=False)
+    pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[0.5, 1.0]])
     assert (pair.n_x, pair.n_y, pair.n_total) == (2, 1, 3)
     assert side(pair, 0) == "x" and side(pair, 2) == "y"
     qx, qy = pair.split((0, 2))
@@ -33,13 +34,15 @@ def test_pair_indexing_and_splits():
     assert pair.dim == 2
 
 
-def test_pair_checks_general_position_by_default():
+def test_pair_leaves_general_position_to_the_triangulation():
+    # The audit's verdict on this input: test_general_position_flags_cocircular_square.
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    from coupledalpha import GeneralPositionError
-
-    with pytest.raises(GeneralPositionError):
-        PointCloudPair(square, [[0.3, 0.4]])
-    PointCloudPair(square, [[0.3, 0.4]], check=False)  # explicit opt-out
+    pair = PointCloudPair(square, [[0.3, 0.4]])
+    message = r"^point 3 lies on the circumsphere of cell \(0, 1, 2, 4\)$"
+    with pytest.raises(AmbiguousTriangulation, match=message):
+        coupled_alpha_infty(pair)
+    with pytest.raises(TypeError, match="check_coupled_general_position"):
+        PointCloudPair(square, [[0.3, 0.4]], check=True)
 
 
 def test_complex_closed_under_faces_and_counts(rng):
@@ -110,7 +113,7 @@ def test_single_cloud_alpha_contained_in_coupled(rng):
 def test_empty_y_degrades_to_alpha():
     rng = np.random.default_rng(2)
     x = rng.random((6, 2))
-    pair = PointCloudPair(x, None, check=False)
+    pair = PointCloudPair(x, None)
     assert set(coupled_alpha_infty(pair)) == set(alpha_infty(x))
     assert pair.n_y == 0
 
@@ -120,8 +123,8 @@ def test_rank_guard_refuses_flat_inputs():
     # 2-flat; X and Y on one line lift to a 2-flat of R^3.
     line = [[0.0, 0.0], [1.0, 1.0], [2.5, 2.5], [4.0, 4.0]]
     with pytest.raises(DegenerateInput, match="1-flat"):
-        coupled_alpha_infty(PointCloudPair(line, None, check=False))
-    pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [3.5, 0.0]], check=False)
+        coupled_alpha_infty(PointCloudPair(line, None))
+    pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [3.5, 0.0]])
     with pytest.raises(DegenerateInput, match="2-flat"):
         coupled_alpha_infty(pair)
 
@@ -152,7 +155,7 @@ BAD_LISTINGS = {
 
 
 def three_points():
-    return PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[1.0, 1.0]], check=False)
+    return PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[1.0, 1.0]])
 
 
 def by_width(listing):
@@ -210,6 +213,11 @@ def test_listing_refuses_a_non_integer_vertex():
         CoupledComplex(None, [(0,), (1.9,), (0, 1.2)])
     with pytest.raises(ValueError, match=r"^simplex \(0\.5,\) has a non-integer vertex$"):
         FilteredComplex({(0.5,): 0.0, (1,): 0.0})
+    # A bool beside ints is refused too, not read as 1.
+    with pytest.raises(ValueError, match=r"^simplex \(True,\) has a non-integer vertex$"):
+        CoupledComplex(None, [(0,), (True,)])
+    with pytest.raises(ValueError, match=r"^simplex \(True,\) has a non-integer vertex$"):
+        FilteredComplex({(0,): 0.0, (True,): 0.0})
 
 
 def test_cells_in_any_order_with_repeats_build_the_same_complex():

@@ -26,7 +26,7 @@ def test_single_triangle():
     points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     tri = delaunay_incremental(points)
     assert tri.cells == ((0, 1, 2),)
-    cplx = CoupledComplex(PointCloudPair(points, check=False), cells=[np.array(tri.cells)])
+    cplx = CoupledComplex(PointCloudPair(points), cells=[np.array(tri.cells)])
     assert [r.tolist() for r in cplx.rows] == [[[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]]
 
 
@@ -109,7 +109,7 @@ def test_close_points_far_from_the_origin_span_an_edge():
     assert _hull_coordinates(x)[1] == 1
     assert delaunay_incremental(x).cells == ((0, 1),)
     for x_side, y_side in ((x, None), (np.zeros((0, 2)), x)):
-        cplx = coupled_alpha_infty(PointCloudPair(x_side, y_side, check=False))
+        cplx = coupled_alpha_infty(PointCloudPair(x_side, y_side))
         assert cplx.simplices == ((0,), (1,), (0, 1))
 
 

@@ -143,7 +143,7 @@ def test_top_simplices_take_no_circumsphere(dim):
     # X and Y candidates are one point, equidistant from each side.
     rng = np.random.default_rng(70 + dim)
     for _ in range(3):
-        pair = PointCloudPair(rng.random((30, dim)), rng.random((30, dim)), check=False)
+        pair = PointCloudPair(rng.random((30, dim)), rng.random((30, dim)))
         top = coupled_alpha_infty(pair).rows[dim + 1]
         assert len(top)
         center, radius_x, radius_y, case = _relaxed_batch(pair.points, pair.n_x, top)
@@ -169,7 +169,7 @@ def test_pipeline_solves_no_overdetermined_system(monkeypatch):
     monkeypatch.setattr(delaunay, "_certified_solve", counted)
     rng = np.random.default_rng(77)
     for dim in (2, 3):
-        pair = PointCloudPair(rng.random((40, dim)), rng.random((40, dim)), check=False)
+        pair = PointCloudPair(rng.random((40, dim)), rng.random((40, dim)))
         persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
     assert {m < d for m, d in shapes} == {True, False}
     assert all(m <= d for m, d in shapes)
@@ -180,11 +180,11 @@ def test_coupled_gabriel_flags_enclosed_vertex():
     # relaxed X ball swallows x1 placed at that center, so the Gabriel test
     # fails against the coface (x0, x1, y0) and the edge inherits the
     # triangle's value. Once x1 moves far away the edge keeps its own.
-    near = PointCloudPair([[0.0, 0.0], [1.5, 0.0]], [[3.0, 0.0]], check=False)
+    near = PointCloudPair([[0.0, 0.0], [1.5, 0.0]], [[3.0, 0.0]])
     values = coupled_filtration(coupled_alpha_infty(near)).values
     assert values[(0, 2)] == pytest.approx(2.25, abs=1e-12)
     assert values[(0, 2)] == values[(0, 1, 2)]
-    far = PointCloudPair([[0.0, 0.0], [1.5, 4.0]], [[3.0, 0.0]], check=False)
+    far = PointCloudPair([[0.0, 0.0], [1.5, 4.0]], [[3.0, 0.0]])
     values = coupled_filtration(coupled_alpha_infty(far)).values
     assert values[(0, 2)] == pytest.approx(1.5, abs=1e-12)
     assert values[(0, 2)] < values[(0, 1, 2)]
@@ -264,10 +264,10 @@ def _seeded_complexes():
     """Seeded coupled pairs in d=2 and d=3 and single clouds, as complexes."""
     rng = np.random.default_rng(4417)
     pairs = [
-        PointCloudPair(rng.random((40, 2)), rng.random((40, 2)), check=False),
-        PointCloudPair(rng.random((20, 3)), rng.random((20, 3)), check=False),
-        PointCloudPair(rng.random((30, 2)), None, check=False),
-        PointCloudPair(np.zeros((0, 3)), rng.random((20, 3)), check=False),
+        PointCloudPair(rng.random((40, 2)), rng.random((40, 2))),
+        PointCloudPair(rng.random((20, 3)), rng.random((20, 3))),
+        PointCloudPair(rng.random((30, 2)), None),
+        PointCloudPair(np.zeros((0, 3)), rng.random((20, 3))),
     ]
     return [coupled_alpha_infty(pair) for pair in pairs]
 
@@ -379,8 +379,8 @@ def test_pure_radius_is_not_rounded_to_the_coordinates():
     # A third vertex far outside the edge's diametral ball keeps it Gabriel.
     cloud = np.vstack([x, x[0] + [2e-4, 5e-4]])
     for pair in (
-        PointCloudPair(cloud, None, check=False),
-        PointCloudPair(np.zeros((0, 2)), cloud, check=False),
+        PointCloudPair(cloud, None),
+        PointCloudPair(np.zeros((0, 2)), cloud),
     ):
         value = coupled_filtration(coupled_alpha_infty(pair)).values[(0, 1)]
         assert value == pytest.approx(exact, rel=1e-15, abs=0.0)

@@ -173,7 +173,7 @@ def test_persistence_memory_follows_the_nonzeros():
     # bitmasks over ranks for the reduced columns at 4 MiB; facet index arrays,
     # with stored columns as lists and sets of ranks, peak at 2.3 MiB.
     rng = np.random.default_rng(5)
-    pair = PointCloudPair(rng.random((100, 3)), rng.random((100, 3)), check=False)
+    pair = PointCloudPair(rng.random((100, 3)), rng.random((100, 3)))
     fc = coupled_filtration(coupled_alpha_infty(pair))
     tracemalloc.start()
     try:
@@ -191,7 +191,7 @@ def test_reduction_memory_grows_with_the_simplices():
     per_simplex = []
     for n in (100, 200):
         rng = np.random.default_rng(5)
-        pair = PointCloudPair(rng.random((n, 3)), rng.random((n, 3)), check=False)
+        pair = PointCloudPair(rng.random((n, 3)), rng.random((n, 3)))
         _, columns = boundary_matrix(coupled_filtration(coupled_alpha_infty(pair)))
         tracemalloc.start()
         try:
@@ -347,7 +347,7 @@ def test_slivers_are_not_reported_as_homology():
     # floating point reached through different routes leave ulp slivers in
     # dimension 3, which intervals() must not report.
     rng = np.random.default_rng(0)
-    pair = PointCloudPair(rng.random((20, 3)), rng.random((20, 3)), check=False)
+    pair = PointCloudPair(rng.random((20, 3)), rng.random((20, 3)))
     dgm = persistence_diagram(coupled_filtration(coupled_alpha_infty(pair)))
     assert dgm.intervals(3) == []
     slivers = [iv for iv in dgm.all_intervals if iv.dim == 3]
@@ -362,8 +362,8 @@ def test_swapping_the_clouds_relabels_the_complex(dim, n_x, n_y, seed):
     # the lift, so the complex is the same up to labels and the diagram agrees.
     rng = np.random.default_rng(seed)
     x, y = rng.random((n_x, dim)), rng.random((n_y, dim))
-    cplx = coupled_alpha_infty(PointCloudPair(x, y, check=False))
-    swapped = coupled_alpha_infty(PointCloudPair(y, x, check=False))
+    cplx = coupled_alpha_infty(PointCloudPair(x, y))
+    swapped = coupled_alpha_infty(PointCloudPair(y, x))
     # Swapped index i < n_y is Y[i], global n_x + i here; the rest are X.
     label = np.concatenate([np.arange(n_x, n_x + n_y), np.arange(n_x)])
     relabelled = {tuple(sorted(label[list(s)].tolist())) for s in swapped}

@@ -52,7 +52,7 @@ def package_imports(module: str) -> list[tuple[str, str]]:
 )
 def test_fast_paths_import_nothing_from_reference(module):
     taken = {name for source, name in package_imports(module) if source == "reference"}
-    allowed = {"check_coupled_general_position"} if module == "complexes" else set()
+    allowed = set()
     assert taken == allowed
 
 

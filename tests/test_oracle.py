@@ -55,7 +55,7 @@ def test_negative_radius_infeasible(rng):
 
 
 def test_same_cloud_edge_flips_at_half_distance():
-    pair = PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[9.0, 9.0]], check=False)
+    pair = PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[9.0, 9.0]])
     assert not feasibility((0, 1), pair, 1.0 - 1e-6)
     assert feasibility((0, 1), pair, 1.0 + 1e-6)
 
@@ -88,9 +88,7 @@ def test_feasibility_monotone_in_radius(rng):
 
 
 def test_collinear_same_cloud_triple_never_feasible():
-    pair = PointCloudPair(
-        [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.5, 3.0]], check=False
-    )
+    pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.5, 3.0]])
     # Bisectors of a collinear triple are parallel: no equidistant point.
     assert not feasibility((0, 1, 2), pair, 1e9)
 
@@ -108,7 +106,7 @@ def test_bisection_matches_filtration_values(rng):
 
 
 def test_bisection_rejects_nonmembers():
-    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]], check=False)
+    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]])
     with pytest.raises(NotInComplex):
         value_by_bisection((0, 1), pair, radius_max=1.0)
 
@@ -116,7 +114,7 @@ def test_bisection_rejects_nonmembers():
 def test_bisection_stops_between_adjacent_floats(monkeypatch):
     # Near 1.5e8 adjacent floats are 3e-8 apart, wider than the bisection width.
     monkeypatch.setattr(oracle, "feasibility", lambda simplex, pair, radius: radius >= 1.5e8)
-    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]], check=False)
+    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]])
     assert value_by_bisection((0, 1), pair, radius_max=4e8) == pytest.approx(1.5e8, rel=1e-15)
 
 
