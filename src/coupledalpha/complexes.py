@@ -27,6 +27,7 @@ from .delaunay import _delaunay_cells
 from .geometry import DegenerateInput, as_point_array, lift_clouds
 
 Simplex = tuple[int, ...]
+_INT64 = range(-(2**63), 2**63)  # the vertex indices an int64 array holds
 
 
 def _integer_type(t: type) -> bool:
@@ -37,7 +38,9 @@ def _integer_type(t: type) -> bool:
 class PointCloudPair:
     """Two finite point clouds in a common R^d with global vertex indexing.
 
-    The constructor validates shapes only. Ambiguous inputs are refused by
+    ``points`` holds X rows, then Y rows. An empty cloud keeps its width:
+    ``PointCloudPair(np.zeros((0, 2)))`` is 2-dimensional. The constructor
+    validates shapes only. Ambiguous inputs are refused by
     ``coupled_alpha_infty``, with ``AmbiguousTriangulation`` or
     ``DegenerateInput``; the exhaustive coupled general-position audit is
     ``reference.check_coupled_general_position``.
@@ -48,9 +51,7 @@ class PointCloudPair:
         if check:
             raise TypeError("PointCloudPair does not audit; use check_coupled_general_position(x, y)")
         x = as_point_array(x)
-        if y is None:
-            y = np.zeros((0, x.shape[1] if x.size else 0))
-        y = as_point_array(y)
+        y = as_point_array(np.zeros((0, x.shape[1])) if y is None else y)
         if x.shape[0] and y.shape[0] and x.shape[1] != y.shape[1]:
             raise ValueError("clouds must share the ambient dimension")
         dim = x.shape[1] if x.shape[0] else y.shape[1]
@@ -59,7 +60,7 @@ class PointCloudPair:
         self.x = x.reshape(x.shape[0], dim)
         self.y = y.reshape(y.shape[0], dim)
         self.dim = dim
-        self._points = np.vstack([self.x, self.y]) if dim else np.zeros((0, 0))
+        self.points = np.vstack([self.x, self.y])
 
     @property
     def n_x(self) -> int:
@@ -72,11 +73,6 @@ class PointCloudPair:
     @property
     def n_total(self) -> int:
         return self.n_x + self.n_y
-
-    @property
-    def points(self) -> np.ndarray:
-        """All points, X rows first then Y rows."""
-        return self._points
 
     def split(self, simplex: Simplex) -> tuple[Simplex, Simplex]:
         """Partition a global-index simplex into its X part and Y part."""
@@ -102,24 +98,30 @@ class CoupledComplex:
     facets of the (k+1)-simplices yields ``rows[k]`` and ``facet_index(k+1)``.
     A listing passes the same checks as one array per width, after its
     vertices are checked one by one. It refuses, with ``ValueError``, a
-    listed simplex with a vertex that is not an integer (a bool included),
-    ``cells`` that are not 2-D integer arrays of width at least 1, a given
-    simplex that is not strictly increasing or names a vertex outside the
-    pair (without a pair, a negative one), and a listing that lacks a facet
-    of a simplex it lists.
+    listing beside ``cells``, a listed vertex that is not an integer (a bool
+    included), ``cells`` that are not 2-D integer arrays of width at least
+    1, a vertex beyond int64, a given simplex that is not strictly
+    increasing or names a vertex outside the pair (without a pair, a
+    negative one), and a listing that lacks a facet of a simplex it lists.
     """
 
     def __init__(self, pair: PointCloudPair | None, simplices=(), cells=None):
         self.pair = pair  # None under a bare filtration
+        simplices = list(simplices)
         listing = cells is None
         if listing:
-            simplices = list(simplices)
             # Vertex by vertex, as one array would read True as 1 beside an int.
             if not all(map(_integer_type, set(map(type, chain.from_iterable(simplices))))):
                 first = next(s for s in simplices if not all(map(_integer_type, map(type, s))))
                 raise ValueError(f"simplex {tuple(first)} has a non-integer vertex")
             widths = {len(s) for s in simplices} - {0}
-            cells = [np.array([s for s in simplices if len(s) == w]) for w in widths]
+            try:
+                cells = [np.array([s for s in simplices if len(s) == w], np.int64) for w in widths]
+            except OverflowError:
+                first = next(s for s in simplices if not all(int(v) in _INT64 for v in s))
+                raise ValueError(f"simplex {tuple(map(int, first))} names a vertex beyond int64") from None
+        elif simplices:
+            raise ValueError("give a listing or cells, not both")
         cells = [np.asarray(c) for c in cells]
         for c in cells:
             if c.ndim != 2 or c.shape[1] < 1 or c.dtype.kind not in "iu":
@@ -127,6 +129,9 @@ class CoupledComplex:
                     "cells must be 2-D integer arrays of width at least 1,"
                     f" not {c.dtype} of shape {c.shape}"
                 )
+            # Only uint64 holds vertices that the int64 cast below would wrap.
+            if not np.can_cast(c.dtype, np.int64) and (huge := (c >= _INT64.stop).any(1)).any():
+                raise ValueError(f"simplex {tuple(c[huge][0].tolist())} names a vertex beyond int64")
         # One signed dtype, so the concatenations below stay integer.
         cells = [c.astype(np.int64, copy=False) for c in cells]
         if pair is not None and not listing:
@@ -204,8 +209,6 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
     the space allows is a general-position failure, such as a collinear
     triple in the plane.
     """
-    if pair.n_total == 0:
-        return CoupledComplex(pair, ())
     if pair.n_x and pair.n_y:
         points, what = lift_clouds(pair.x, pair.y), "lifted pair"
     else:

@@ -45,8 +45,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import CoupledComplex, Simplex
-from .geometry import EPS, GeometryError, _bisector_points, as_point_array
+from .complexes import CoupledComplex, PointCloudPair, Simplex
+from .geometry import EPS, GeometryError, _bisector_points
 
 X_DOMINANT = "X_DOMINANT"
 Y_DOMINANT = "Y_DOMINANT"
@@ -115,22 +115,17 @@ class FilteredComplex:
 def relaxed_value(q_x, q_y) -> SphereSolution:
     """Solve the relaxed smallest-radius problem for a labeled simplex.
 
-    ``q_x`` and ``q_y`` are the simplex's vertex coordinates per cloud;
-    either side may be empty. The center returned is equidistant from all
-    X vertices and from all Y vertices, minimizing the larger of the two
-    distances over the bisector solution set.
+    ``q_x`` and ``q_y`` are the simplex's vertex coordinates per cloud,
+    either side empty or None, checked and stacked by ``PointCloudPair``.
+    The center returned is equidistant from all X vertices and from all Y
+    vertices, minimizing the larger of the two distances over the bisector
+    solution set.
     """
-    q_x = as_point_array(q_x) if q_x is not None else np.zeros((0, 0))
-    if q_y is None:
-        q_y = np.zeros((0, q_x.shape[1]))
-    q_y = as_point_array(q_y, dim=q_x.shape[1] if q_x.size else None)
-    n_x, n_y = q_x.shape[0], q_y.shape[0]
-    if n_x == 0 and n_y == 0:
+    pair = PointCloudPair(np.zeros((0, 0)) if q_x is None else q_x, q_y)
+    if pair.n_total == 0:
         raise ValueError("need at least one vertex")
-    dim = q_x.shape[1] if n_x else q_y.shape[1]
-    points = np.vstack([q_x.reshape(n_x, dim), q_y])
-    center, radius_x, radius_y, case = _relaxed_batch(points, n_x, np.arange(n_x + n_y)[None])
-    return SphereSolution(center[0], float(radius_x[0]), float(radius_y[0]), CASES[case[0]])
+    c, r_x, r_y, case = _relaxed_batch(pair.points, pair.n_x, np.arange(pair.n_total)[None])
+    return SphereSolution(c[0], float(r_x[0]), float(r_y[0]), CASES[case[0]])
 
 
 def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:

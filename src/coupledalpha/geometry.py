@@ -8,9 +8,10 @@ There is no exact arithmetic. The fast paths' predicates share one
 absolute/relative tolerance, the constant ``EPS``, which they read from
 here and no caller sets; rank decisions use the tighter ``RANK_RCOND``
 cutoff. ``_certified_solve`` is the one bisector solve, of square or wide
-systems only, and the one place that decides rank: stacked LU or QR
-solves whose condition-number certificate decides which solutions stand,
-the rest paying for the SVD of the rank decision. The relaxed centers
+systems only, and decides the rank of bisector systems (the input's own
+affine rank is the SVD in ``_hull_coordinates``): stacked LU or QR solves
+whose condition-number certificate decides which solutions stand, the
+rest paying for the SVD of the rank decision. The relaxed centers
 reach it through ``_bisector_points``; the triangulation hands it square
 systems only, so no QR runs per insertion. The references the fast paths
 are checked against live in ``reference``, with their own tolerance.

@@ -330,6 +330,14 @@ def test_cloud_commands_reject_dim_below_one(capsys, tmp_path, clouds, command, 
         assert err == f"error: dim must be at least 1, got {dim}\n"
 
 
+def test_build_keeps_the_width_of_an_empty_file(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code, out, err = run(capsys, ["build", str(empty), "--dim", "2", "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"dim": 2, "simplices": []}
+
+
 def test_scaling_rejects_a_negative_seed(capsys):
     code, out, err = run(capsys, ["scaling", "--n-list", "8", "--trials", "1", "--seed", "-1"])
     assert code == 1

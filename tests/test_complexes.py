@@ -45,6 +45,24 @@ def test_pair_leaves_general_position_to_the_triangulation():
         PointCloudPair(square, [[0.3, 0.4]], check=True)
 
 
+def test_an_empty_cloud_keeps_its_width():
+    pair = PointCloudPair(np.zeros((0, 2)))
+    assert pair.dim == 2
+    assert pair.x.shape == pair.y.shape == pair.points.shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [PointCloudPair(np.zeros((0, 2))), PointCloudPair(np.zeros((0, 3)), np.zeros((0, 3)))],
+    ids=["empty X", "both empty"],
+)
+def test_an_empty_pair_takes_the_general_route(pair):
+    # The triangulation of no points is a (0, 1) cell array, which closes to no simplex.
+    cplx = coupled_alpha_infty(pair)
+    assert cplx.rows == CoupledComplex(pair, ()).rows == []
+    assert cplx.dimension == -1 and list(cplx) == []
+
+
 def test_complex_closed_under_faces_and_counts(rng):
     pair = random_pair(rng)
     cplx = coupled_alpha_infty(pair)
@@ -220,6 +238,22 @@ def test_listing_refuses_a_non_integer_vertex():
         FilteredComplex({(0,): 0.0, (True,): 0.0})
 
 
+def test_listing_refuses_a_vertex_beyond_int64():
+    # NumPy would read these as float64 or object; the message names them as given.
+    with pytest.raises(ValueError, match=r"^simplex \(9223372036854775808,\) names a vertex beyond"):
+        CoupledComplex(None, [(0,), (2**63,)])
+    with pytest.raises(ValueError, match=r"^simplex \(18446744073709551615,\) names a vertex beyond"):
+        FilteredComplex({(0,): 0.0, (2**64 - 1,): 0.0})
+    with pytest.raises(ValueError, match=r"^simplex \(0, 18446744073709551615\) names a vertex beyond"):
+        CoupledComplex(three_points(), [(0,), (0, np.uint64(2**64 - 1))])
+
+
+def test_listing_and_cells_are_not_both_given():
+    with pytest.raises(ValueError, match="^give a listing or cells, not both$"):
+        CoupledComplex(three_points(), [(0,), (1,), (0, 1)], cells=[np.array([[0, 1, 2]])])
+    assert len(CoupledComplex(three_points(), [], cells=[np.array([[0, 1]])])) == 4
+
+
 def test_cells_in_any_order_with_repeats_build_the_same_complex():
     cells = np.array([[0, 1, 2], [0, 1, 2]])
     shuffled = [np.array([[1, 2], [0, 2], [1, 2]]), cells, np.array([[2], [0]])]
@@ -255,6 +289,15 @@ def test_cells_may_be_nested_lists_empty_or_unsigned():
     cplx = CoupledComplex(three_points(), cells=given)
     assert [r.tolist() for r in cplx.rows] == [[[0], [1], [2]], [[0, 1], [0, 2]]]
     assert all(r.dtype == np.int64 for r in cplx.rows)
+
+
+def test_unsigned_cells_beyond_int64_are_refused_as_given():
+    # The int64 cast would wrap 2**64 - 1 to -1.
+    cells = [np.array([[0], [2**64 - 1]], dtype=np.uint64), np.array([[0, 1]], dtype=np.uint64)]
+    message = r"^simplex \(18446744073709551615,\) names a vertex beyond int64$"
+    for pair in (None, PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]])):
+        with pytest.raises(ValueError, match=message):
+            CoupledComplex(pair, cells=cells)
 
 
 @st.composite

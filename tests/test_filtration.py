@@ -122,8 +122,11 @@ def test_relaxed_value_validation():
         relaxed_value(np.zeros((3, 2)) + np.eye(3, 2), [[1.0, 1.0], [2.0, 5.0]])
     with pytest.raises(RankDeficient):
         relaxed_value([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
         relaxed_value(np.zeros((0, 2)), np.zeros((0, 2)))
+    # The input is checked as a PointCloudPair is.
+    with pytest.raises(ValueError, match="^clouds must share the ambient dimension$"):
+        relaxed_value([[0.0, 0.0]], [[0.0, 0.0, 1.0]])
 
 
 def test_a_pure_simplex_of_d_plus_2_vertices_overflows():
