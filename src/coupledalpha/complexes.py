@@ -52,9 +52,10 @@ class PointCloudPair:
             raise TypeError("PointCloudPair does not audit; use check_coupled_general_position(x, y)")
         x = as_point_array(x)
         y = as_point_array(np.zeros((0, x.shape[1])) if y is None else y)
-        if x.shape[0] and y.shape[0] and x.shape[1] != y.shape[1]:
+        # A (0, 0) cloud, as from [], has no width; any other cloud has one.
+        if x.shape[1] != y.shape[1] and (0, 0) not in (x.shape, y.shape):
             raise ValueError("clouds must share the ambient dimension")
-        dim = x.shape[1] if x.shape[0] else y.shape[1]
+        dim = max(x.shape[1], y.shape[1])
         if dim == 0 and (x.shape[0] or y.shape[0]):
             raise ValueError("points must have at least one coordinate")
         self.x = x.reshape(x.shape[0], dim)

@@ -13,8 +13,8 @@ in coordinate order walks along the hull and creates many short-lived
 cells. Each insertion is a few array calls on its cavity: one lexsort of
 the conflicting cells' facets (gathered by an index built once) keeps
 those seen once as the boundary and refuses a facet seen three or more
-times, and one stacked square solve (``_certified_solve``) gives the new
-cells their circumspheres and hull planes. New cells refill the rows
+times, and one stacked square inverse (``_certified_inverse``) gives the
+new cells their circumspheres and hull planes. New cells refill the rows
 the insertion killed, kept in an int array, before any new row, so the
 conflict scan reads about as many rows as there are live cells.
 
@@ -51,7 +51,7 @@ from .geometry import (
     DegenerateInput,
     GeometryError,
     RankDeficient,
-    _certified_solve,
+    _certified_inverse,
     _hull_coordinates,
     as_point_array,
 )
@@ -138,36 +138,35 @@ class _CellStore:
     def add(self, cells: np.ndarray) -> None:
         """Store a (g, m+1) block of sorted cells with their spheres and planes.
 
-        Every row is one square system ``a x = r`` of one stacked
-        ``_certified_solve``. A finite row takes the bisector rows
+        Every row is one square system ``a x = r``, inverted by one stacked
+        ``_certified_inverse``. A finite row takes the bisector rows
         ``a = [v_i - v_0]``, ``r = |v_i - v_0|^2 / 2``, and its circumcentre
         is ``v_0 + x``. A hull row (-1,) + f takes the edges of f and the
         interior point, ``a = [f_i - f_0; interior - f_0]`` with last entry
-        ``r = 0``, and a second right-hand side e_m whose solution w is
+        ``r = 0``. The inverse's last column w solves ``a w = e_m``, so it is
         orthogonal to f with ``w . (interior - f_0) = 1``: ``-w / |w|`` is
         the outward unit normal, ``1 / |w|`` the interior's distance from
         the facet's hyperplane, and x projected onto that hyperplane the
-        facet's circumcentre. A row that ``_certified_solve`` finds
+        facet's circumcentre. A row that ``_certified_inverse`` finds
         dependent names its cell in ``AmbiguousTriangulation``.
         """
-        g, m = cells.shape[0], self.points.shape[1]
+        g = len(cells)
         hull = np.flatnonzero(cells[:, 0] == -1)
         pts = self.points[cells]
         # Put a hull row's -1 (the interior point) last, behind its facet.
         pts[hull] = pts[hull[:, None], self.hull_cols]
         a = pts[:, 1:] - pts[:, :1]
-        rhs = np.zeros((2, g, m))
-        rhs[0] = 0.5 * np.einsum("gij,gij->gi", a, a)
-        rhs[0, hull, -1] = 0.0
-        rhs[1, :, -1] = 1.0
+        r = 0.5 * np.einsum("gij,gij->gi", a, a)
+        r[hull, -1] = 0.0
         try:
-            (x, w), _ = _certified_solve(a, rhs)
+            inv = _certified_inverse(a)
         except RankDeficient as exc:
             raise AmbiguousTriangulation(
                 f"cell {tuple(cells[exc.system].tolist())} is affinely degenerate within tolerance"
             ) from None
+        x = np.einsum("gij,gj->gi", inv, r)
         if len(hull):
-            w = w[hull]
+            w = inv[hull, :, -1]
             length = np.linalg.norm(w, axis=1)
             flat = 1.0 / length <= self.side_tol
             if flat.any():

@@ -135,8 +135,11 @@ def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
     own relaxed value (coupled Gabriel against all cofaces) or inherits
     the smallest coface value. The minimum with the coface values is
     always taken, which makes the result monotone under float arithmetic
-    too. The Gabriel test's tolerance is ``geometry.EPS``.
+    too. The Gabriel test's tolerance is ``geometry.EPS``. A complex
+    without a point-cloud pair has no geometry and is refused.
     """
+    if cplx.pair is None:
+        raise ValueError("the complex has no point-cloud pair to take values from")
     levels = [value for _, value, _ in _gabriel_walk(cplx)]
     return FilteredComplex(cplx=cplx, levels=levels[::-1])
 

@@ -7,13 +7,13 @@ of shape ``(d,)``, a point set an array of shape ``(n, d)``.
 There is no exact arithmetic. The fast paths' predicates share one
 absolute/relative tolerance, the constant ``EPS``, which they read from
 here and no caller sets; rank decisions use the tighter ``RANK_RCOND``
-cutoff. ``_certified_solve`` is the one bisector solve, of square or wide
-systems only, and decides the rank of bisector systems (the input's own
-affine rank is the SVD in ``_hull_coordinates``): stacked LU or QR solves
-whose condition-number certificate decides which solutions stand, the
-rest paying for the SVD of the rank decision. The relaxed centers
-reach it through ``_bisector_points``; the triangulation hands it square
-systems only, so no QR runs per insertion. The references the fast paths
+cutoff. ``_certified_inverse`` is the one bisector solver, of square or
+wide systems only, and decides the rank of bisector systems (the input's
+own affine rank is the SVD in ``_hull_coordinates``): stacked LU or QR
+inverses whose condition-number certificate decides which stand, the rest
+computed by lstsq one system at a time. The relaxed centers reach it
+through ``_bisector_points``; the triangulation hands it square systems
+only, so no QR runs per insertion. The references the fast paths
 are checked against live in ``reference``, with their own tolerance.
 Inputs closer than the tolerance to a degenerate configuration are
 rejected with an error rather than silently perturbed -- ``jitter`` is
@@ -66,74 +66,53 @@ def _bisector_points(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     This is the bisector-flat solve of the relaxed centers. ``u`` and
     ``v`` have shape (g, m, d) with m <= d (``u`` may be (g, 1, d)); ``p``
     is (g, d), or (t, g, d) for t anchor points that share the bisector
-    rows and so one factorization. Flat i is {c : a (c - p) = r} with
+    rows and so one inverse. Flat i is {c : a (c - p) = r} with
     ``a = v - u`` and r the residual at ``p``, taken from differences to
     ``p`` so that nothing cancels when the points are far from the origin;
-    the closest point is ``p`` plus the minimum-norm solution from
-    ``_certified_solve``, which raises RankDeficient if a system lost rank.
+    the closest point is ``p`` plus the minimum-norm solution, r times
+    ``_certified_inverse(a)``, which raises RankDeficient if a system lost
+    rank.
     """
     a = v - u
     if a.shape[-2] == 0:
         return np.array(p, dtype=float)
     anchor = p[..., None, :]
     r = 0.5 * np.einsum("...ij,...ij->...i", a, (v - anchor) + (u - anchor))
-    return p + _certified_solve(a, r)[0]
+    return p + np.einsum("gij,...gj->...gi", _certified_inverse(a), r)
 
 
-def _certified_solve(a: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solutions of ``a[i] x = r[..., i, :]`` (m <= d), and which are certified.
+def _certified_inverse(a: np.ndarray) -> np.ndarray:
+    """Pseudo-inverses ``pinv``, (g, d, m), of the (g, m, d) stack ``a`` (m <= d).
 
-    A square block is inverted by LU; a wide one (m < d) gives ``Q R^-T r``
-    from ``a^T = Q R``, R inverted by LU. System i is certified when
+    ``pinv[i] @ r`` is the minimum-norm solution of ``a[i] x = r``. A square
+    block is inverted by LU; a wide one (m < d) gives ``Q R^-T`` from
+    ``a^T = Q R``, R inverted by LU. System i is certified when
     ``||R||_F ||R^-1||_F < 1e-2 / RANK_RCOND`` (R = a for a square block):
     that bounds the 2-norm condition number, so the SVD would find every
     singular value above its cutoff with 100x to spare, the margin covering
     the round-off of the factorization. Nothing is certified when LU meets
-    an exact zero pivot. The uncertified systems are solved by
-    ``_svd_solve``, whose RankDeficient then carries the index into ``a``
-    of the first dependent system. Leading axes of ``r`` stack right-hand
-    sides on one factorization: the triangulation's cell store solves each
-    square system for its bisector residuals and for the last unit vector,
-    whose solution is the last column of the inverse.
+    an exact zero pivot. Each uncertified system is inverted by lstsq with
+    its rank rule at ``RANK_RCOND``; the first of them whose rank is below
+    m raises RankDeficient with its index into ``a``.
     """
-    square = a.shape[-2] == a.shape[-1]
+    g, m, d = a.shape
+    square = m == d
     q, base = (None, a) if square else np.linalg.qr(np.swapaxes(a, -1, -2))
     try:
         inv = np.linalg.inv(base)
     except np.linalg.LinAlgError:
-        sol, certified = np.empty(r.shape[:-1] + a.shape[-1:]), np.zeros(len(a), dtype=bool)
+        pinv, certified = np.empty((g, d, m)), np.zeros(g, dtype=bool)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             # Squared Frobenius norms; an overflow or nan leaves the row uncertified.
             cond2 = np.einsum("gij,gij->g", base, base) * np.einsum("gij,gij->g", inv, inv)
-            if square:
-                sol = np.einsum("gij,...gj->...gi", inv, r)
-            else:
-                sol = np.einsum("gij,...gj->...gi", q, np.einsum("gji,...gj->...gi", inv, r))
+            pinv = inv if square else np.einsum("gik,gjk->gij", q, inv)
         certified = cond2 < (1e-2 / RANK_RCOND) ** 2
-    if not certified.all():
-        doubtful = np.flatnonzero(~certified)
-        try:
-            sol[..., doubtful, :] = _svd_solve(a[doubtful], r[..., doubtful, :])
-        except RankDeficient as exc:
-            exc.system = int(doubtful[exc.system])
-            raise
-    return sol, certified
-
-
-def _svd_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimum-norm solutions by SVD; RankDeficient if a system fails lstsq's rank rule."""
-    left, s, right = np.linalg.svd(a, full_matrices=False)
-    # The system is full-rank when every singular value survives the cutoff;
-    # then the minimum-norm solution uses all of them.
-    dependent = s <= RANK_RCOND * s[:, :1]
-    if dependent.any():
-        rank = int((~dependent).sum(axis=1).min())
-        raise RankDeficient(
-            f"bisector rows are dependent (rank {rank} < {s.shape[1]})",
-            int(dependent.any(axis=1).argmax()),
-        )
-    return np.einsum("gqj,...gq->...gj", right, np.einsum("giq,...gi->...gq", left, r) / s)
+    for i in np.flatnonzero(~certified).tolist():
+        pinv[i], _, rank, _ = np.linalg.lstsq(a[i], np.eye(m), rcond=RANK_RCOND)
+        if rank < m:
+            raise RankDeficient(f"bisector rows are dependent (rank {rank} < {m})", i)
+    return pinv
 
 
 def lift_clouds(x: np.ndarray, y: np.ndarray) -> np.ndarray:

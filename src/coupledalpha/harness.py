@@ -66,6 +66,10 @@ def scaling_experiment(
     n_list, trials: int = 10, dim: int = 2, seed: int = 0
 ) -> list[ScalingRecord]:
     """Scaling records for every (n, trial), ordered by (n, trial); n strictly ascending."""
+    n_list = list(n_list)
+    for n in n_list:
+        if int(n) != n:
+            raise ValueError(f"intensities must be integers, got {n}")
     n_list = [int(n) for n in n_list]
     # A repeated n would repeat its trials: their points derive from (seed, n, trial).
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

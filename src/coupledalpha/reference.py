@@ -167,11 +167,11 @@ def check_coupled_general_position(x, y) -> tuple[bool, list[Violation]]:
     Exhaustive over subsets, so intended for small inputs. At scale the
     triangulation itself reports ambiguities for the subsets that matter.
     """
-    x = as_point_array(x)
-    y = as_point_array(y, dim=x.shape[1] if x.size else None)
-    if x.shape[0] and y.shape[0] and x.shape[1] != y.shape[1]:
+    x, y = as_point_array(x), as_point_array(y)
+    # A (0, 0) cloud, as from [], has no width; any other cloud has one.
+    if x.shape[1] != y.shape[1] and (0, 0) not in (x.shape, y.shape):
         raise ValueError("clouds must share the ambient dimension")
-    d = x.shape[1] if x.shape[0] else y.shape[1]
+    d = max(x.shape[1], y.shape[1])
     x, y = x.reshape(len(x), d), y.reshape(len(y), d)
     violations: list[Violation] = []
 

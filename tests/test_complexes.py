@@ -49,6 +49,14 @@ def test_an_empty_cloud_keeps_its_width():
     pair = PointCloudPair(np.zeros((0, 2)))
     assert pair.dim == 2
     assert pair.x.shape == pair.y.shape == pair.points.shape == (0, 2)
+    # So it is compared with the other cloud's width, empty or not.
+    for x, y in [(np.zeros((0, 2)), [[1.0, 2.0, 3.0]]), ([[1.0, 2.0, 3.0]], np.zeros((0, 2))),
+                 (np.zeros((0, 2)), np.zeros((0, 3)))]:
+        with pytest.raises(ValueError, match="^clouds must share the ambient dimension$"):
+            PointCloudPair(x, y)
+    # A (0, 0) cloud, as from [], has no width and sits beside any.
+    assert PointCloudPair([], [[1.0, 2.0, 3.0]]).dim == 3
+    assert PointCloudPair([[1.0, 2.0]], []).y.shape == (0, 2)
 
 
 @pytest.mark.parametrize(

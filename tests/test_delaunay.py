@@ -205,13 +205,13 @@ def test_one_certified_solve_per_insertion(monkeypatch, dim):
     # All new cells of an insertion are solved in one stacked call, and the
     # initial simplex with its hull cells in one more.
     calls = []
-    solve = delaunay._certified_solve
+    invert = delaunay._certified_inverse
 
-    def counted(a, r):
+    def counted(a):
         calls.append(len(a))
-        return solve(a, r)
+        return invert(a)
 
-    monkeypatch.setattr(delaunay, "_certified_solve", counted)
+    monkeypatch.setattr(delaunay, "_certified_inverse", counted)
     rng = np.random.default_rng(4000 + dim)
     lifted = lift_clouds(rng.random((40, dim)), rng.random((40, dim)))
     _bowyer_watson(lifted)

@@ -127,6 +127,14 @@ def test_relaxed_value_validation():
     # The input is checked as a PointCloudPair is.
     with pytest.raises(ValueError, match="^clouds must share the ambient dimension$"):
         relaxed_value([[0.0, 0.0]], [[0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="^clouds must share the ambient dimension$"):
+        relaxed_value(np.zeros((0, 2)), [[0.0, 0.0, 1.0]])
+
+
+def test_a_complex_without_a_pair_takes_no_values():
+    # Values without a pair come from the caller, as FilteredComplex(values) takes them.
+    with pytest.raises(ValueError, match="^the complex has no point-cloud pair"):
+        coupled_filtration(CoupledComplex(None, [(0,), (1,), (0, 1)]))
 
 
 def test_a_pure_simplex_of_d_plus_2_vertices_overflows():
@@ -158,18 +166,18 @@ def test_top_simplices_take_no_circumsphere(dim):
 
 def test_pipeline_solves_no_overdetermined_system(monkeypatch):
     # Every bisector system of a full run, triangulation and filtration
-    # alike, goes through _certified_solve with at most as many rows as columns.
+    # alike, goes through _certified_inverse with at most as many rows as columns.
     from coupledalpha import delaunay, geometry
 
     shapes = set()
-    solve = geometry._certified_solve
+    invert = geometry._certified_inverse
 
-    def counted(a, r):
+    def counted(a):
         shapes.add(a.shape[-2:])
-        return solve(a, r)
+        return invert(a)
 
-    monkeypatch.setattr(geometry, "_certified_solve", counted)
-    monkeypatch.setattr(delaunay, "_certified_solve", counted)
+    monkeypatch.setattr(geometry, "_certified_inverse", counted)
+    monkeypatch.setattr(delaunay, "_certified_inverse", counted)
     rng = np.random.default_rng(77)
     for dim in (2, 3):
         pair = PointCloudPair(rng.random((40, dim)), rng.random((40, dim)))

@@ -1,6 +1,7 @@
 """Geometric primitives: spheres, bisector flats, lifting, position checks."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from coupledalpha.geometry import (
     DegenerateInput,
     RankDeficient,
     _bisector_points,
-    _certified_solve,
+    _certified_inverse,
     _hull_coordinates,
-    _svd_solve,
     as_point_array,
     jitter,
     lift_clouds,
@@ -152,17 +152,34 @@ def test_stacked_bisector_points_refuse_like_the_scalar_solver():
         _bisector_points(u, v, np.ones((2, 2)))
 
 
-def test_certified_solve_names_the_first_dependent_system(rng):
+def _lstsq_spy(monkeypatch):
+    """Record every matrix that ``np.linalg.lstsq`` is handed."""
+    seen = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return lstsq(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return seen
+
+
+def test_certified_solve_names_the_first_dependent_system(rng, monkeypatch):
     # Uncertified systems at 1, 3 and 4; the first of them is full rank, so
-    # the SVD's first dependent system is not the first uncertified one.
+    # the first dependent system is not the first uncertified one.
     ratios = [0.5, 1e-11, 0.5, 1e-13, 1e-13, 0.5]
     systems = [_graded_rows(rng, 3, 3, ratio) for ratio in ratios]
     a = np.stack([v - u for u, v in systems])
-    r = rng.normal(size=(2, len(ratios), 3))
-    assert _certified_solve(a[:3], r[:, :3])[1].tolist() == [True, False, True]
+    seen = _lstsq_spy(monkeypatch)
+    _certified_inverse(a[:3])
+    assert len(seen) == 1 and np.array_equal(seen[0], a[1])
+    seen.clear()
     with pytest.raises(RankDeficient, match=r"dependent \(rank 2 < 3\)") as refused:
-        _certified_solve(a, r)
+        _certified_inverse(a)
     assert refused.value.system == 3
+    # Only the uncertified systems reach lstsq, up to the first dependent one.
+    assert len(seen) == 2 and np.array_equal(seen[0], a[1]) and np.array_equal(seen[1], a[3])
 
 
 def _graded_rows(rng, m, d, ratio):
@@ -176,23 +193,28 @@ def _graded_rows(rng, m, d, ratio):
 
 
 @pytest.mark.parametrize("m,d", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
-def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
+def test_certified_solve_keeps_lstsq_rank_decisions(rng, monkeypatch, m, d):
     # Well-conditioned rows (s_min/s_max = 0.5) mixed with rows at 1e-13
     # (dependent under lstsq's cutoff 1e-12), 1e-11 (full rank but beyond
-    # the certificate, so solved by the SVD fallback) and 1e-9 (certified).
+    # the certificate, so inverted by lstsq) and 1e-9 (certified).
     ratios = [0.5] * 4 + ([1e-13, 1e-11, 1e-9] if m > 1 else [])
     systems = [_graded_rows(rng, m, d, ratio) + (rng.normal(size=d),) for ratio in ratios]
     u, v, p = (np.stack(part) for part in zip(*systems))
     a = v - u
-    r = 0.5 * np.einsum("gij,gij->gi", a, (v - p[:, None]) + (u - p[:, None]))
+    seen = _lstsq_spy(monkeypatch)
     if m > 1:
-        # The dependent system is refused and named; the others keep their certificate.
+        # The dependent system is refused and named.
         with pytest.raises(RankDeficient, match="dependent") as refused:
-            _certified_solve(a, r)
+            _certified_inverse(a)
         assert refused.value.system == ratios.index(1e-13)
     sound = [i for i, ratio in enumerate(ratios) if ratio != 1e-13]
-    certified = dict(zip(sound, _certified_solve(a[sound], r[sound])[1].tolist()))
-    assert certified == {i: ratios[i] > 1e-10 for i in sound}
+    seen.clear()
+    _certified_inverse(a[sound])
+    # Exactly the systems beyond the certificate go to lstsq.
+    beyond = [i for i in sound if ratios[i] < 1e-10]
+    assert len(seen) == len(beyond)
+    assert all(np.array_equal(got, a[i]) for got, i in zip(seen, beyond))
+    monkeypatch.undo()
 
     accepted = []
     for i, ratio in enumerate(ratios):
@@ -211,13 +233,47 @@ def test_certified_solve_keeps_lstsq_rank_decisions(rng, m, d):
 
     centers = _bisector_points(u[accepted], v[accepted], p[accepted])
     for center, i in zip(centers, accepted):
-        if certified[i]:
-            expected = lstsq_bisector(u[i], v[i], p[i]) - p[i]
-            assert np.linalg.norm(center - p[i] - expected) <= 1e-12 * np.linalg.norm(expected)
-        else:
-            # The SVD code decides and solves these rows as before. It and
-            # lstsq differ by up to about 1e-10 relative on them (m=3, d=4).
-            assert np.array_equal(center, p[i] + _svd_solve(a[i : i + 1], r[i : i + 1])[0])
+        expected = lstsq_bisector(u[i], v[i], p[i]) - p[i]
+        assert np.linalg.norm(center - p[i] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def _exact_bisector_point(v, p):
+    """Closest point to ``p`` equidistant from the origin and every row of ``v``,
+    in rational arithmetic: ``p + a^T (a a^T)^-1 (b - a p)`` with ``a = v`` and
+    ``b = |v_j|^2 / 2``, by Gauss-Jordan elimination on ``a a^T``."""
+    v = [[Fraction(t) for t in row] for row in v.tolist()]
+    p = [Fraction(t) for t in p.tolist()]
+    m = len(v)
+
+    def dot(s, t):
+        return sum(x * y for x, y in zip(s, t))
+
+    system = [[dot(vi, vj) for vj in v] + [dot(vi, vi) / 2 - dot(vi, p)] for vi in v]
+    for c in range(m):
+        for r in range(m):
+            if r != c:
+                f = system[r][c] / system[c][c]
+                system[r] = [x - f * y for x, y in zip(system[r], system[c])]
+    y = [system[i][m] / system[i][i] for i in range(m)]
+    return [pk + sum(vj[k] * yj for vj, yj in zip(v, y)) for k, pk in enumerate(p)]
+
+
+def test_uncertified_bisector_points_are_exact_to_round_off():
+    # Three rows of a random orthonormal frame in R^4, scaled 1 ... 1e-11:
+    # beyond the certificate, yet well determined. The rows start at the
+    # origin, as in the relaxed pure-simplex solve, so ``v - u`` is exact.
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(40):
+        frame = np.linalg.qr(rng.normal(size=(4, 4)))[0][:3]
+        v = np.geomspace(1.0, 1e-11, 3)[:, None] * frame
+        p = rng.normal(size=4)
+        got = _bisector_points(np.zeros((1, 1, 4)), v[None], p[None])[0]
+        exact = _exact_bisector_point(v, p)
+        error = max(abs(Fraction(g) - e) for g, e in zip(got.tolist(), exact))
+        step = max(abs(e - Fraction(t)) for e, t in zip(exact, p.tolist()))
+        worst = max(worst, float(error / step))
+    assert worst <= 1e-14
 
 
 def test_lift_clouds_heights_exact():
@@ -262,6 +318,15 @@ def test_general_position_flags_lifted_cosphericality():
     ok, violations = check_coupled_general_position(x, y)
     assert not ok
     assert any(v.kind == "lifted_cocircular" for v in violations)
+
+
+def test_general_position_refuses_clouds_of_different_widths():
+    # An empty cloud keeps its width; only a (0, 0) cloud, as from [], has none.
+    with pytest.raises(ValueError, match="^clouds must share the ambient dimension$"):
+        check_coupled_general_position(np.zeros((0, 2)), [[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match="^clouds must share the ambient dimension$"):
+        check_coupled_general_position([[1.0, 2.0, 3.0]], np.zeros((0, 2)))
+    assert check_coupled_general_position([], [[1.0, 2.0, 3.0]]) == (True, [])
 
 
 def test_diameter_and_rank():

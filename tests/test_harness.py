@@ -72,6 +72,14 @@ def test_scaling_experiment_rejects_unsorted():
         scaling_experiment([30, 15], trials=1)
 
 
+def test_scaling_experiment_refuses_a_fractional_intensity():
+    # Truncated, 2.5 would run as n = 2, and 2.5, 2.9 would read as a repeat.
+    for n_list in ([2.5, 4], [2.5, 2.9]):
+        with pytest.raises(ValueError, match=r"^intensities must be integers, got 2\.5$"):
+            scaling_experiment(n_list, trials=1)
+    assert [r.n for r in scaling_experiment([3.0, np.int64(4)], trials=1)] == [3, 4]
+
+
 def _fake_records():
     # Exactly linear counts: k-simplices = (k + 1) * 10 * n, two trials.
     records = []
