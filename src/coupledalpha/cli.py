@@ -34,7 +34,7 @@ from .complexes import CoupledComplex, PointCloudPair, coupled_alpha_infty
 from .filtration import coupled_filtration
 from .harness import doubling_ratios, fit_linear, scaling_experiment
 from .homology import persistence_diagram
-from .oracle import IterationLimit, diagram_discrepancy_vs_reference, diagram_tolerance_default
+from .oracle import diagram_discrepancy_vs_reference, diagram_tolerance_default
 from .reference import check_coupled_general_position
 
 
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, IterationLimit, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if args.format == "json":
             payload = {"error": type(exc).__name__, "message": str(exc)}
             sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -208,9 +208,21 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
     points are affinely dependent beyond their count: n points may span
     only an (n-1)-flat, but spanning fewer dimensions than that or than
     the space allows is a general-position failure, such as a collinear
-    triple in the plane.
+    triple in the plane. A point of X equal to a point of Y raises it too,
+    naming both: nested samples X ⊂ X' are the pair (X, X' minus X).
     """
     if pair.n_x and pair.n_y:
+        # Equal rows are adjacent in lexicographic order; a run holding both clouds has a cross step.
+        order = np.lexsort(pair.points.T[::-1])
+        rows, side = pair.points[order], order < pair.n_x
+        cross = (rows[1:] == rows[:-1]).all(axis=1) & (side[1:] != side[:-1])
+        if cross.any():
+            k = int(cross.argmax())
+            i, j = sorted(order[k : k + 2].tolist())
+            raise DegenerateInput(
+                f"point {i} of X equals point {j - pair.n_x} of Y (vertex {j});"
+                " pass nested samples X ⊂ X' as (X, X' minus X)"
+            )
         points, what = lift_clouds(pair.x, pair.y), "lifted pair"
     else:
         points, what = pair.points, "cloud"

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CoupledComplex, PointCloudPair, Simplex
-from .geometry import EPS, GeometryError, _bisector_points
+from .geometry import GeometryError, _bisector_points
 
 X_DOMINANT = "X_DOMINANT"
 Y_DOMINANT = "Y_DOMINANT"
@@ -135,8 +135,10 @@ def coupled_filtration(cplx: CoupledComplex) -> FilteredComplex:
     own relaxed value (coupled Gabriel against all cofaces) or inherits
     the smallest coface value. The minimum with the coface values is
     always taken, which makes the result monotone under float arithmetic
-    too. The Gabriel test's tolerance is ``geometry.EPS``. A complex
-    without a point-cloud pair has no geometry and is refused.
+    too. The Gabriel test takes no tolerance (``dist < radius``): a tie
+    decided either way leaves the value unchanged, so a near-tie decided
+    wrongly in floats moves it by round-off only. A complex without a
+    point-cloud pair has no geometry and is refused.
     """
     if cplx.pair is None:
         raise ValueError("the complex has no point-cloud pair to take values from")
@@ -172,7 +174,7 @@ def _gabriel_walk(cplx: CoupledComplex):
             # so a pure simplex gets the classical Gabriel test.
             radius = np.where(extra < n_x, radius_x[facet], radius_y[facet])
             dist = np.linalg.norm(points[extra] - center[facet], axis=1)
-            gabriel[facet[dist < radius - EPS * (1.0 + radius)]] = False
+            gabriel[facet[dist < radius]] = False
         relaxed = np.maximum(radius_x, radius_y)
         value = np.where(gabriel, np.minimum(relaxed, min_coface), min_coface)
         yield rows, value, gabriel

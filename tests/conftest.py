@@ -4,16 +4,14 @@ Everything here is deliberately built from definitions, not from the
 library's fast paths, so the tests compare two independent routes.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from coupledalpha import PointCloudPair, coupled_alpha_infty, coupled_filtration, relaxed_value
-from coupledalpha.geometry import EPS, RANK_RCOND, RankDeficient
+from coupledalpha.geometry import RANK_RCOND, RankDeficient
 from coupledalpha.homology import Interval, PersistenceDiagram
-from coupledalpha.oracle import feasibility
 
 
 def random_pair(rng, dim=2, max_x=6, max_y=6):
@@ -21,33 +19,6 @@ def random_pair(rng, dim=2, max_x=6, max_y=6):
     n_x = int(rng.integers(1, max_x + 1))
     n_y = int(rng.integers(1, max_y + 1))
     return PointCloudPair(rng.random((n_x, dim)), rng.random((n_y, dim)))
-
-
-def nerve_from_feasibility(pair, max_size):
-    """Simplex set at r = infinity straight from the nerve definition.
-
-    Enumerates subsets by size with face pruning: a subset is only tested
-    when all its facets are already members, which is sound because the
-    nerve of a cover is closed under faces by definition.
-    """
-    members = set()
-    current = []
-    for v in range(pair.n_total):
-        if feasibility((v,), pair):
-            members.add((v,))
-            current.append((v,))
-    for size in range(2, max_size + 1):
-        grown = []
-        for combo in itertools.combinations(range(pair.n_total), size):
-            if any(combo[:k] + combo[k + 1 :] not in members for k in range(size)):
-                continue
-            if feasibility(combo, pair):
-                members.add(combo)
-                grown.append(combo)
-        if not grown:
-            break
-        current = grown
-    return members
 
 
 def lstsq_bisector(u, v, p):
@@ -162,7 +133,7 @@ def reference_walk(cplx):
             for v in extras:
                 radius = sol.radius_x if v < pair.n_x else sol.radius_y
                 dist = float(np.linalg.norm(pair.points[v] - sol.center))
-                passed &= not dist < radius - EPS * (1.0 + radius)
+                passed &= not dist < radius
             gabriel[simplex] = passed
             value = min(sol.relaxed_radius, min_coface) if passed else min_coface
             values[simplex] = value

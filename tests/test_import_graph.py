@@ -91,3 +91,26 @@ def test_reference_code_left_the_fast_paths():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
             assert hasattr(reference, name), name
+
+
+def test_exact_oracle_reads_no_fast_path():
+    # Agreement with the fast path is evidence while the exact oracle computes on its own.
+    banned = FAST_PATH_NAMES | {"_relaxed_batch"}
+    imports = package_imports("oracle")
+    assert not banned & {name for _, name in imports}
+    assert not {source for source, name in imports if name == "*"} & {"geometry", "delaunay", "filtration"}
+    # Every name read by exact_filtration and the module functions it reaches.
+    functions = {
+        node.name: node
+        for node in ast.parse((PACKAGE / "oracle.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    read, todo = set(), ["exact_filtration"]
+    while todo:
+        for node in ast.walk(functions[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name and name not in read:
+                read.add(name)
+                todo += [name] if name in functions else []
+    assert {"qualifying_centres", "_orthogonal", "_project"} <= read
+    assert not banned & read

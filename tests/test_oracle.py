@@ -1,7 +1,8 @@
-"""Feasibility oracle: witnesses, monotonicity, bisection, Cech reference."""
+"""Exact oracle: qualifying centres, membership and values; Cech reference."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,110 +13,107 @@ from coupledalpha import (
     coupled_filtration,
     diagram_discrepancy_vs_reference,
 )
-from coupledalpha import oracle
-from coupledalpha.oracle import (
-    NotInComplex,
-    TooLarge,
-    cech_filtration,
-    feasibility,
-    feasibility_witness,
-    value_by_bisection,
-)
+from coupledalpha.oracle import TooLarge, cech_filtration, exact_filtration, qualifying_centres
 from coupledalpha.reference import min_enclosing_ball
-from conftest import check_monotone, random_pair
+from conftest import at_radius, check_monotone, random_pair
 
 
-def witness_violation(simplex, pair, radius, z):
-    """Largest constraint violation of z, straight from the definitions.
+def faces(t):
+    return [q for size in range(1, len(t) + 1) for q in itertools.combinations(t, size)]
 
-    z must lie in every vertex's radius-r ball and, for each vertex, on
-    the correct side of the bisector against every same-cloud point.
+
+def witness_violation(simplex, pair, radius_sq, z):
+    """Largest constraint violation of z in exact rationals, straight from the definitions.
+
+    z must lie in every vertex's ball of squared radius ``radius_sq`` and,
+    for each vertex, be no farther from it than from any point of its cloud.
     """
-    worst = 0.0
+    points = [tuple(map(Fraction, p)) for p in pair.points.tolist()]
+
+    def sq(v):
+        return sum((a - b) ** 2 for a, b in zip(z, points[v]))
+
+    worst = 0
     for v in simplex:
-        worst = max(worst, float(np.linalg.norm(z - pair.points[v])) - radius)
-        lo, hi = (0, pair.n_x) if v < pair.n_x else (pair.n_x, pair.n_total)
-        for other in range(lo, hi):
-            gap = np.linalg.norm(z - pair.points[v]) - np.linalg.norm(z - pair.points[other])
-            worst = max(worst, float(gap))
+        cloud = range(pair.n_x) if v < pair.n_x else range(pair.n_x, pair.n_total)
+        worst = max(worst, sq(v) - radius_sq, *(sq(v) - sq(other) for other in cloud))
     return worst
 
 
 def test_vertices_always_feasible(rng):
     pair = random_pair(rng)
+    fc = exact_filtration(pair)
+    centres = {t: z for t, z, *_ in qualifying_centres(pair) if len(t) == 1}
     for v in range(pair.n_total):
-        assert feasibility((v,), pair, 0.0)
-        ok, z = feasibility_witness((v,), pair, 0.0)
-        assert ok and np.allclose(z, pair.points[v], atol=1e-9)
+        assert fc.values[(v,)] == 0.0
+        assert centres[(v,)] == tuple(map(Fraction, pair.points[v].tolist()))
 
 
 def test_negative_radius_infeasible(rng):
-    pair = random_pair(rng)
-    assert not feasibility((0,), pair, -1e-9)
+    # Values are radii: below 0 not even a vertex is present.
+    fc = exact_filtration(random_pair(rng))
+    assert at_radius(fc, -1e-300) == [] and min(fc.values.values()) == 0.0
 
 
 def test_same_cloud_edge_flips_at_half_distance():
     pair = PointCloudPair([[0.0, 0.0], [2.0, 0.0]], [[9.0, 9.0]])
-    assert not feasibility((0, 1), pair, 1.0 - 1e-6)
-    assert feasibility((0, 1), pair, 1.0 + 1e-6)
+    assert exact_filtration(pair).values[(0, 1)] == 1.0
+
+
+def test_mixed_edge_takes_the_smallest_of_three_candidates():
+    # x1 itself (r_Y = 2), y1 itself (r_X = 2) and the midpoint (both 1).
+    pair = PointCloudPair([[0.0, 0.0]], [[2.0, 0.0]])
+    found = {z: (r2_x, r2_y) for t, z, r2_x, r2_y in qualifying_centres(pair) if t == (0, 1)}
+    assert found == {(0, 0): (0, 4), (2, 0): (4, 0), (1, 0): (1, 1)}
+    assert exact_filtration(pair).values[(0, 1)] == 1.0
 
 
 def test_witness_satisfies_definitions(rng):
     for _ in range(6):
         pair = random_pair(rng, max_x=5, max_y=5)
-        cplx = coupled_alpha_infty(pair)
-        fc = coupled_filtration(cplx)
-        for simplex, value in fc.sorted_items():
-            if len(simplex) == 1:
-                continue
-            r = value * 1.01 + 1e-6
-            ok, z = feasibility_witness(simplex, pair, r)
-            assert ok, (simplex, r)
-            assert witness_violation(simplex, pair, r, z) <= 1e-8
+        attained = {}
+        for t, z, r2_x, r2_y in qualifying_centres(pair):
+            for q in faces(t):
+                r2 = max(r2_x if q[0] < pair.n_x else 0, r2_y if q[-1] >= pair.n_x else 0)
+                assert witness_violation(q, pair, r2, z) <= 0, (q, t)
+                attained[q] = min(attained.get(q, r2), r2)
+        # Every simplex of the fast complex is witnessed at its own value.
+        fc = coupled_filtration(coupled_alpha_infty(pair))
+        assert set(attained) == set(fc.values)
+        for q, value in fc.values.items():
+            assert abs(math.sqrt(attained[q]) - value) <= 1e-12 * value, q
 
 
 def test_feasibility_monotone_in_radius(rng):
-    pair = random_pair(rng, max_x=5, max_y=5)
-    fc = coupled_filtration(coupled_alpha_infty(pair))
-    for simplex, value in fc.sorted_items():
-        if len(simplex) < 2:
-            continue
-        radii = [value * f for f in (0.5, 0.9995, 1.0005, 2.0, 10.0)]
-        results = [feasibility(simplex, pair, r) for r in radii]
-        # Once feasible, stays feasible.
-        first_true = results.index(True) if True in results else len(results)
-        assert all(results[first_true:])
+    # Once a simplex's restricted balls meet they keep meeting: no face comes later.
+    fc = exact_filtration(random_pair(rng, max_x=5, max_y=5))
+    assert check_monotone(fc, tol=0.0)
+    for r in sorted(set(fc.values.values())):
+        present = set(at_radius(fc, r))
+        assert all(q[:k] + q[k + 1 :] in present for q in present if len(q) > 1 for k in range(len(q)))
 
 
 def test_collinear_same_cloud_triple_never_feasible():
     pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.5, 3.0]])
     # Bisectors of a collinear triple are parallel: no equidistant point.
-    assert not feasibility((0, 1, 2), pair, 1e9)
+    assert (0, 1, 2) not in exact_filtration(pair).values
+    assert all(t[:3] != (0, 1, 2) for t, *_ in qualifying_centres(pair))
 
 
-def test_bisection_matches_filtration_values(rng):
-    pair = random_pair(rng, max_x=5, max_y=5)
-    fc = coupled_filtration(coupled_alpha_infty(pair))
-    checked = 0
-    for simplex, value in fc.sorted_items():
-        if len(simplex) < 2 or checked >= 12:
-            continue
-        assert value_by_bisection(simplex, pair) == pytest.approx(value, abs=1e-7)
-        checked += 1
-    assert checked == 12
+def test_exact_values_match_filtration_values(rng):
+    for dim in (2, 2, 2, 3, 3, 3):
+        pair = random_pair(rng, dim=dim, max_x=5, max_y=5)
+        fast = coupled_filtration(coupled_alpha_infty(pair)).values
+        exact = exact_filtration(pair).values
+        assert set(exact) == set(fast)
+        for simplex, value in fast.items():
+            assert abs(exact[simplex] - value) <= 1e-12 * value, simplex
 
 
-def test_bisection_rejects_nonmembers():
-    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]])
-    with pytest.raises(NotInComplex):
-        value_by_bisection((0, 1), pair, radius_max=1.0)
-
-
-def test_bisection_stops_between_adjacent_floats(monkeypatch):
-    # Near 1.5e8 adjacent floats are 3e-8 apart, wider than the bisection width.
-    monkeypatch.setattr(oracle, "feasibility", lambda simplex, pair, radius: radius >= 1.5e8)
-    pair = PointCloudPair([[0.0, 0.0]], [[5.0, 0.0]])
-    assert value_by_bisection((0, 1), pair, radius_max=4e8) == pytest.approx(1.5e8, rel=1e-15)
+def test_exact_oracle_cap():
+    with pytest.raises(TooLarge):
+        exact_filtration(PointCloudPair(np.random.default_rng(2).random((25, 2))))
+    assert exact_filtration(PointCloudPair(np.zeros((0, 2)))).values == {}
 
 
 def test_cech_values_are_enclosing_radii(rng):
