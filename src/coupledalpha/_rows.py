@@ -3,7 +3,7 @@
 A row lists vertex indices in increasing order; a stored set of rows is
 distinct and in lexicographic order. ``unique`` makes one and locates its
 input rows in it with one lexicographic sort. Rows are never packed into
-one integer key, so nothing can overflow.
+one integer key, so nothing can overflow. ``equal_pairs`` finds repeats, in points too.
 """
 
 import numpy as np
@@ -30,6 +30,13 @@ def unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return rows[first], inverse
+
+
+def equal_pairs(rows: np.ndarray) -> np.ndarray:
+    """(k, 2) pairs i < j of equal rows adjacent in the stable lexicographic order, in that order."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    same = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    return np.column_stack([order[:-1][same], order[1:][same]])
 
 
 def once(rows: np.ndarray) -> np.ndarray | None:

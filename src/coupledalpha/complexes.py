@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._rows import facets, unique
+from ._rows import equal_pairs, facets, unique
 from .delaunay import _delaunay_cells
 from .geometry import DegenerateInput, as_point_array, lift_clouds
 
@@ -212,13 +212,11 @@ def coupled_alpha_infty(pair: PointCloudPair) -> CoupledComplex:
     naming both: nested samples X ⊂ X' are the pair (X, X' minus X).
     """
     if pair.n_x and pair.n_y:
-        # Equal rows are adjacent in lexicographic order; a run holding both clouds has a cross step.
-        order = np.lexsort(pair.points.T[::-1])
-        rows, side = pair.points[order], order < pair.n_x
-        cross = (rows[1:] == rows[:-1]).all(axis=1) & (side[1:] != side[:-1])
+        # A run of equal rows that holds both clouds has a pair from X to Y.
+        pairs = equal_pairs(pair.points)
+        cross = (pairs[:, 0] < pair.n_x) & (pairs[:, 1] >= pair.n_x)
         if cross.any():
-            k = int(cross.argmax())
-            i, j = sorted(order[k : k + 2].tolist())
+            i, j = pairs[cross.argmax()].tolist()
             raise DegenerateInput(
                 f"point {i} of X equals point {j - pair.n_x} of Y (vertex {j});"
                 " pass nested samples X ⊂ X' as (X, X' minus X)"

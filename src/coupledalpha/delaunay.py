@@ -26,10 +26,12 @@ cell's opposite vertex. By the Delaunay lemma (Edelsbrunner, *Geometry
 and Topology for Mesh Generation*, 2001, ch. 1) these local tests make
 every circumsphere empty; ``_verify_delaunay`` gives the argument.
 
-Point sets whose affine hull is a proper flat of R^m (fewer than m+1
-points, or clouds lying in a common hyperplane, as lifted inputs do when
-one side is small) are triangulated inside their affine hull: the input is
-first mapped isometrically onto hull coordinates.
+The pre-pass ``_prepare`` refuses exact duplicates and picks the seed
+simplex, which decides the affine rank. Full-rank input is only centred, so
+each lifted cloud keeps one exact height; input in a proper flat of R^m is
+projected isometrically onto the seed's span. Points within ``EPS`` of each
+other are refused by the triangulation, which meets them: the closest pair
+is a Delaunay edge (Shamos-Hoey, 1975).
 
 Cells are emitted as sorted index tuples; under general position the cell
 set is unique, and the result does not depend on the insertion order;
@@ -45,18 +47,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import facet_columns, facets, once, unique
+from ._rows import equal_pairs, facet_columns, facets, once, unique
 from .geometry import (
     EPS,
+    RANK_RCOND,
     DegenerateInput,
     GeometryError,
     RankDeficient,
     _certified_inverse,
-    _hull_coordinates,
     as_point_array,
 )
 
-# Coordinate differences held at once by the blocked scans over all points (2 MiB).
+# Coordinate differences held at once by the blocked hull-plane check (2 MiB).
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -76,25 +78,53 @@ class Triangulation:
     cells: tuple[tuple[int, ...], ...]
 
 
-def _prepare(points) -> tuple[np.ndarray, int]:
+def _insertion_order(n: int) -> np.ndarray:
+    # A fixed seed keeps runs deterministic; the cells are sorted on output.
+    return np.random.default_rng(2003).permutation(n)
+
+
+def _prepare(points) -> tuple[np.ndarray, np.ndarray]:
+    """Centred coordinates and the seed simplex's indices; exact duplicates raise.
+
+    From the first point of ``_insertion_order`` the seed adds the point
+    farthest from its span, up to rank min(n - 1, d). A distance at round-off
+    (``RANK_RCOND max(n, d) max|x|``) ends the hull and projects the input onto
+    the seed's span; one within ``EPS`` scale raises ``AmbiguousTriangulation``.
+    A first distance at either, or one that overflows, raises ``DegenerateInput``.
+    """
     pts = as_point_array(points)
     n, d = pts.shape
-    if n >= 2:
-        # The closest pair, first in row-major order, scanned in blocks of
-        # rows of at most about _BLOCK_FLOATS differences: O(n) memory.
-        best, i, j = np.inf, 0, 0
-        step = max(1, _BLOCK_FLOATS // max(n * d, 1))
-        for start in range(0, n, step):
-            diff = pts[start : start + step, None, :] - pts[None, :, :]
-            dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-            rows = np.arange(dist2.shape[0])
-            dist2[rows, start + rows] = np.inf
-            at = int(dist2.argmin())
-            if dist2.flat[at] < best:
-                best, i, j = dist2.flat[at], start + at // n, at % n
-        if float(best) <= EPS * EPS:
+    pairs = equal_pairs(pts)
+    if len(pairs):
+        i, j = pairs[0].tolist()
+        raise DegenerateInput(f"points {i} and {j} coincide")
+    if n < 2:
+        return np.zeros((n, 0)), np.arange(n)
+    seed = [int(_insertion_order(n)[0])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = pts - pts.mean(axis=0)
+        rel = centred - centred[seed[0]]
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+    if not np.isfinite(dist2).all():
+        raise DegenerateInput("coordinates are too large to square in float64")
+    tol = EPS * (1.0 + float(np.abs(centred).max()))
+    cutoff = RANK_RCOND * max(n, d) * float(np.abs(pts).max())
+    basis = np.zeros((d, 0))
+    while len(seed) < min(n, d + 1):
+        far = int(dist2.argmax())
+        dist = float(np.sqrt(dist2[far]))
+        if len(seed) == 1 and dist <= max(tol, cutoff):
+            i, j = sorted((seed[0], far))
             raise DegenerateInput(f"points {i} and {j} coincide within tolerance")
-    return _hull_coordinates(pts)
+        if dist <= cutoff:
+            break
+        if dist <= tol:
+            raise AmbiguousTriangulation("points are affinely dependent within tolerance")
+        seed.append(far)
+        basis = np.linalg.qr(rel[seed[1:]].T)[0]
+        off = rel - (rel @ basis) @ basis.T
+        dist2 = np.einsum("ij,ij->i", off, off)
+    return (centred if len(seed) == d + 1 else centred @ basis), np.array(seed)
 
 
 class _CellStore:
@@ -221,39 +251,15 @@ class _CellStore:
         return np.nonzero(self.radii2[: self.count] > -np.inf)[0]
 
 
-def _initial_simplex(coords: np.ndarray, order: np.ndarray) -> list[int]:
-    """m+1 affinely independent indices, greedily farthest from the hull so far."""
-    n, m = coords.shape
-    scale = 1.0 + float(np.abs(coords).max())
-    chosen = [int(order[0])]
-    while len(chosen) < m + 1:
-        anchor = coords[chosen[0]]
-        rel = coords - anchor
-        if len(chosen) > 1:
-            basis, _ = np.linalg.qr((coords[chosen[1:]] - anchor).T)
-            rel = rel - (rel @ basis) @ basis.T
-        dist = np.linalg.norm(rel, axis=1)
-        far = int(dist.argmax())
-        if dist[far] <= EPS * scale:
-            raise AmbiguousTriangulation(
-                "points are affinely dependent within tolerance"
-            )
-        chosen.append(far)
-    return chosen
-
-
-def _bowyer_watson(coords: np.ndarray) -> _CellStore:
-    # A fixed seed keeps runs deterministic; the cells are sorted on output.
-    order = np.random.default_rng(2003).permutation(coords.shape[0])
-    init = _initial_simplex(coords, order)
-    store = _CellStore(coords, coords[init].mean(axis=0))
-    start = np.array(sorted(init))
+def _bowyer_watson(coords: np.ndarray, seed: np.ndarray) -> _CellStore:
+    store = _CellStore(coords, coords[seed].mean(axis=0))
+    start = np.sort(seed)
     hull = unique(facets(start[None]))[0]
     store.add(np.vstack([start, np.column_stack([np.full(len(hull), -1), hull])]))
 
     m = coords.shape[1]
-    seeded = set(init)
-    for p_idx in order.tolist():
+    seeded = set(seed.tolist())
+    for p_idx in _insertion_order(len(coords)).tolist():
         if p_idx in seeded:
             continue
         bad = store.conflicts(coords[p_idx])
@@ -364,10 +370,10 @@ def _verify_delaunay(coords: np.ndarray, store: _CellStore) -> np.ndarray:
 
 def _delaunay_cells(points) -> np.ndarray:
     """The verified cells of ``delaunay_incremental`` as a lexsorted (k, rank + 1) int array."""
-    coords, rank = _prepare(points)
-    if rank == 0:
+    coords, seed = _prepare(points)
+    if len(seed) < 2:
         return np.zeros((0, 1), dtype=np.int64)
-    return _verify_delaunay(coords, _bowyer_watson(coords))
+    return _verify_delaunay(coords, _bowyer_watson(coords, seed))
 
 
 def delaunay_incremental(points) -> Triangulation:

@@ -1,20 +1,20 @@
 """Low-dimensional metric primitives of the fast paths.
 
-Bisector (equidistance) systems, lifting, affine-hull coordinates and
-jitter. Everything works on plain float64 numpy arrays: a point is a row
-of shape ``(d,)``, a point set an array of shape ``(n, d)``.
+Bisector (equidistance) systems, lifting and jitter. Everything works on
+plain float64 numpy arrays: a point is a row of shape ``(d,)``, a point
+set an array of shape ``(n, d)``.
 
 There is no exact arithmetic. The fast paths' predicates share one
 absolute/relative tolerance, the constant ``EPS``, which they read from
 here and no caller sets; rank decisions use the tighter ``RANK_RCOND``
 cutoff. ``_certified_inverse`` is the one bisector solver, of square or
 wide systems only, and decides the rank of bisector systems (the input's
-own affine rank is the SVD in ``_hull_coordinates``): stacked LU or QR
-inverses whose condition-number certificate decides which stand, the rest
-computed by lstsq one system at a time. The relaxed centers reach it
-through ``_bisector_points``; the triangulation hands it square systems
-only, so no QR runs per insertion. The references the fast paths
-are checked against live in ``reference``, with their own tolerance.
+own affine rank is decided by the seed simplex of ``delaunay._prepare``):
+stacked LU or QR inverses whose condition-number certificate decides
+which stand, the rest computed by lstsq one system at a time. The relaxed
+centers reach it through ``_bisector_points``; the triangulation hands it
+square systems only, so no QR runs per insertion. The references the fast
+paths are checked against live in ``reference``, with their own tolerance.
 Inputs closer than the tolerance to a degenerate configuration are
 rejected with an error rather than silently perturbed -- ``jitter`` is
 the explicit way out for callers that want perturbation.
@@ -124,19 +124,6 @@ def lift_clouds(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     lifted[x.shape[0] :, :-1] = y
     lifted[x.shape[0] :, -1] = 1.0
     return lifted
-
-
-def _hull_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """Isometric coordinates of the points inside their affine hull, and its dimension."""
-    if pts.shape[0] == 0:
-        return pts.copy(), 0
-    centered = pts - pts.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((pts.shape[0], 0)), 0
-    scale = max(float(s[0]), float(np.abs(pts).max()))  # centring round-off grows with max|x|
-    rank = int((s > RANK_RCOND * max(pts.shape) * scale).sum())
-    return centered @ vt[:rank].T, rank
 
 
 def jitter(points, magnitude: float | None = None, seed: int | None = None) -> np.ndarray:

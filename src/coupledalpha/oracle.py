@@ -3,7 +3,7 @@
 Nothing here shares code with the fast paths: membership and filtration
 values are decided straight from the definition (a common point of the
 restricted Voronoi balls) in exact rational arithmetic, and the enclosing
-balls and the diameter come from ``reference``, so these routines serve
+balls come from ``reference``, so these routines serve
 as independent oracles in the test suite and the ``compare`` command.
 
 * ``qualifying_centres``: for every subset T of at most d+2 points (a

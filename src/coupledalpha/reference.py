@@ -1,17 +1,17 @@
 """Definition-level references the fast paths are certified against.
 
-Circumspheres, smallest enclosing balls, the diameter, the coupled
-general-position audit and the brute-force Delaunay triangulation. Each
-decides straight from a definition, one lstsq system at a time, and this
-module has its own tolerance ``TOL`` and rank cutoff ``RCOND``: a change
-to the fast paths' ``geometry.EPS``, ``geometry.RANK_RCOND`` or solvers
-leaves every reference where it was, so agreement between the two routes
-stays evidence.
+Circumspheres, smallest enclosing balls, affine-hull coordinates by SVD,
+the coupled general-position audit and the brute-force Delaunay
+triangulation. Each decides straight from a definition, one lstsq system
+or SVD at a time, and this module has its own tolerance ``TOL`` and rank
+cutoff ``RCOND``: a change to the fast paths' ``geometry.EPS``,
+``geometry.RANK_RCOND`` or solvers leaves every reference where it was,
+so agreement between the two routes stays evidence.
 
-From the rest of the package it imports only ``as_point_array``,
-``_hull_coordinates`` and ``lift_clouds`` from ``geometry``, the error
-classes, and ``Triangulation`` and ``AmbiguousTriangulation`` from
-``delaunay``; never a tolerance, ``delaunay._prepare`` or a solver.
+From the rest of the package it imports only ``as_point_array`` and
+``lift_clouds`` from ``geometry``, the error classes, and
+``Triangulation`` and ``AmbiguousTriangulation`` from ``delaunay``; never
+a tolerance, ``delaunay._prepare`` or a solver.
 No fast path imports from here; ``oracle`` builds on it.
 """
 
@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delaunay import AmbiguousTriangulation, Triangulation
-from .geometry import DegenerateInput, _hull_coordinates, as_point_array, lift_clouds
+from .geometry import DegenerateInput, as_point_array, lift_clouds
 
 # Tolerance of the references' predicates (inside / on-sphere, coincidence).
 TOL = 1e-9
-# Relative singular-value cutoff of their lstsq solves.
+# Relative singular-value cutoff of their lstsq solves and SVD ranks.
 RCOND = 1e-12
 
 
@@ -125,12 +125,14 @@ def _sq_distances(pts: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def diameter(points) -> float:
-    """Largest pairwise distance (0 for fewer than two points), one row at a time."""
-    pts = as_point_array(points)
-    if pts.shape[0] < 2:
-        return 0.0
-    return float(np.sqrt(max(np.einsum("ij,ij->i", pts - p, pts - p).max() for p in pts)))
+def _hull_coordinates(pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Isometric coordinates of the points inside their affine hull, and its dimension, by SVD."""
+    centered = pts - pts.mean(axis=0) if len(pts) else pts
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    # Centring round-off grows with max|x|.
+    scale = max(s.max(initial=0.0), np.abs(pts).max(initial=0.0))
+    rank = int((s > RCOND * max(pts.shape) * scale).sum())
+    return centered @ vt[:rank].T, rank
 
 
 def _sphere_violations(

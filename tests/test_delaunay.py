@@ -1,5 +1,7 @@
 """Triangulation routes: incremental vs definitional, invariances, refusals."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,9 @@ from coupledalpha import (
 )
 from coupledalpha import delaunay
 from coupledalpha._rows import facet_columns, facets, once, unique
-from coupledalpha.delaunay import _bowyer_watson, _CellStore, _verify_delaunay
-from coupledalpha.geometry import _bisector_points, _hull_coordinates
-from coupledalpha.reference import delaunay_bruteforce
+from coupledalpha.delaunay import _bowyer_watson, _CellStore, _prepare, _verify_delaunay
+from coupledalpha.geometry import EPS, _bisector_points
+from coupledalpha.reference import _hull_coordinates, delaunay_bruteforce
 
 
 def test_single_triangle():
@@ -89,6 +91,9 @@ def test_cocircular_square_refused():
 def test_duplicate_points_refused():
     with pytest.raises(DegenerateInput):
         delaunay_incremental([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    # Points without coordinates are all equal.
+    with pytest.raises(DegenerateInput, match="^points 0 and 1 coincide$"):
+        delaunay_incremental(np.zeros((2, 0)))
 
 
 def test_lower_dimensional_input_uses_hull_coordinates():
@@ -107,6 +112,7 @@ def test_close_points_far_from_the_origin_span_an_edge():
         [[1000.005390565905, 1000.0015377939134], [1000.0053346940405, 1000.0013646485072]]
     )
     assert _hull_coordinates(x)[1] == 1
+    assert len(_prepare(x)[1]) == 2  # the seed of an edge
     assert delaunay_incremental(x).cells == ((0, 1),)
     for x_side, y_side in ((x, None), (np.zeros((0, 2)), x)):
         cplx = coupled_alpha_infty(PointCloudPair(x_side, y_side))
@@ -116,6 +122,71 @@ def test_close_points_far_from_the_origin_span_an_edge():
 def test_single_point_and_empty():
     assert delaunay_incremental([[0.5, 0.5]]).cells == ()
     assert delaunay_incremental(np.zeros((0, 2))).cells == ()
+
+
+def test_lifted_clouds_keep_one_exact_height_each():
+    # Full-rank input is only centred, never rotated, so each slab face stays exact.
+    rng = np.random.default_rng(7)
+    coords = _prepare(lift_clouds(rng.random((1000, 2)), rng.random((1000, 2))))[0]
+    assert coords.shape == (2000, 3)
+    assert len(np.unique(coords[:1000, -1])) == 1
+    assert len(np.unique(coords[1000:, -1])) == 1
+    assert coords[0, -1] < coords[1000, -1]
+
+
+def _plant(cloud, rng, gap):
+    """A copy of the cloud with a point moved to ``gap`` from another, and their indices."""
+    cloud = cloud.copy()
+    i, j = sorted(rng.choice(len(cloud), 2, replace=False).tolist())
+    u = rng.standard_normal(cloud.shape[1])
+    cloud[j] = cloud[i] + gap * u / np.linalg.norm(u)
+    return cloud, i, j
+
+
+def _planted_inputs(dim, n, gap):
+    """(triangulate, i, j) for clouds and pairs of n points per cloud at three scales.
+
+    Each input has one planted pair, global vertices i and j, ``gap`` apart.
+    """
+    rng = np.random.default_rng([dim, n])
+    for scale in (1e-3, 1.0, 1e3):
+        x, y = scale * rng.random((n, dim)), scale * rng.random((n, dim))
+        px, i, j = _plant(x, rng, gap)
+        yield partial(delaunay_incremental, px), i, j
+        yield partial(coupled_alpha_infty, PointCloudPair(px)), i, j
+        yield partial(coupled_alpha_infty, PointCloudPair(px, y)), i, j
+        py, i, j = _plant(y, rng, gap)
+        yield partial(coupled_alpha_infty, PointCloudPair(x, py)), n + i, n + j
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_planted_duplicates_are_refused(dim, n):
+    for triangulate, i, j in _planted_inputs(dim, n, 0.0):
+        with pytest.raises(DegenerateInput, match=f"^points {i} and {j} coincide$"):
+            triangulate()
+    # Within EPS but not equal: the seed or the triangulation refuses them.
+    for gap in (1e-14, 1e-12, 1e-10, EPS):
+        for triangulate, _, _ in _planted_inputs(dim, n, gap):
+            with pytest.raises((AmbiguousTriangulation, DegenerateInput)):
+                triangulate()
+
+
+def test_seed_decides_the_affine_rank():
+    # 1e-10 off the line is above round-off but within EPS; 1e-14 is round-off.
+    message = "^points are affinely dependent within tolerance$"
+    with pytest.raises(AmbiguousTriangulation, match=message):
+        delaunay_incremental([[0, 0], [1, 0], [2, 1e-10], [3, 0]])
+    segments = delaunay_incremental([[0, 0], [1, 0], [2, 1e-14], [3, 0]]).cells
+    assert segments == ((0, 1), (1, 2), (2, 3))
+
+
+def test_coordinates_too_large_to_square_are_refused():
+    # At 1e300 squared distances overflow float64, which once let the seed repeat a vertex.
+    pts = np.random.default_rng(0).random((10, 2))
+    with pytest.raises(DegenerateInput, match="^coordinates are too large to square in float64$"):
+        coupled_alpha_infty(PointCloudPair(pts * 1e300))
+    assert coupled_alpha_infty(PointCloudPair(pts * 1e150)).dimension == 2
 
 
 def _qhull_cases():
@@ -164,7 +235,7 @@ def test_store_reuses_dead_rows(monkeypatch):
     monkeypatch.setattr(_CellStore, "kill", counted_kill)
     rng = np.random.default_rng(5)
     lifted = lift_clouds(rng.random((200, 3)), rng.random((200, 3)))
-    store = _bowyer_watson(lifted)
+    store = _bowyer_watson(*_prepare(lifted))
     live = len(store.live())
     assert live <= store.count <= live + max(cavities)
     assert store.count - live == len(store.free)
@@ -214,7 +285,7 @@ def test_one_certified_solve_per_insertion(monkeypatch, dim):
     monkeypatch.setattr(delaunay, "_certified_inverse", counted)
     rng = np.random.default_rng(4000 + dim)
     lifted = lift_clouds(rng.random((40, dim)), rng.random((40, dim)))
-    _bowyer_watson(lifted)
+    _bowyer_watson(*_prepare(lifted))
     assert len(calls) == 1 + len(lifted) - (dim + 2)
 
 
@@ -268,11 +339,11 @@ def test_store_solve_matches_bisector_and_qr_formulas(dim):
     # bisector solve and a complete QR of the facet edges give: finite rows
     # solve the very same system, so they agree exactly.
     rng = np.random.default_rng(3000 + dim)
-    lifted = lift_clouds(rng.random((60, dim)), rng.random((60, dim)))
-    store = _bowyer_watson(lifted)
+    coords, seed = _prepare(lift_clouds(rng.random((60, dim)), rng.random((60, dim))))
+    store = _bowyer_watson(coords, seed)
     rows = store.live()
     hull = store.verts[rows, 0] == -1
-    pts = lifted[store.verts[rows[~hull]]]
+    pts = coords[store.verts[rows[~hull]]]
     centers = _bisector_points(pts[:, :1], pts[:, 1:], pts[:, 0])
     assert np.array_equal(store.centers[rows[~hull]], centers)
     assert np.array_equal(
@@ -280,13 +351,13 @@ def test_store_solve_matches_bisector_and_qr_formulas(dim):
     )
 
     rows = rows[hull]
-    facet = lifted[store.verts[rows, 1:]]
+    facet = coords[store.verts[rows, 1:]]
     centers = _bisector_points(facet[:, :1], facet[:, 1:], facet[:, 0])
     radii = np.linalg.norm(centers - facet[:, 0], axis=1)
     edges = np.swapaxes(facet[:, 1:] - facet[:, :1], 1, 2)
     normals = np.linalg.qr(edges, mode="complete")[0][:, :, -1]
     # The centroid of the points lies inside the hull, so it orients every plane.
-    normals[np.einsum("ij,ij->i", normals, lifted.mean(axis=0) - facet[:, 0]) > 0] *= -1
+    normals[np.einsum("ij,ij->i", normals, coords.mean(axis=0) - facet[:, 0]) > 0] *= -1
     offsets = np.einsum("ij,ij->i", normals, facet[:, 0])
     tol = 1e-12
     assert (np.linalg.norm(store.centers[rows] - centers, axis=1) <= tol * radii).all()
@@ -298,8 +369,8 @@ def test_store_solve_matches_bisector_and_qr_formulas(dim):
 def _triangulated_store():
     # A convex pentagon around an interior point: finite and hull cells,
     # with every hull plane having points strictly on its inner side.
-    coords = np.array([[0.0, 0.0], [4.0, 0.3], [5.1, 3.7], [1.9, 5.2], [-1.2, 2.9], [1.7, 2.1]])
-    store = _bowyer_watson(coords)
+    coords, seed = _prepare([[0.0, 0.0], [4.0, 0.3], [5.1, 3.7], [1.9, 5.2], [-1.2, 2.9], [1.7, 2.1]])
+    store = _bowyer_watson(coords, seed)
     assert len(_verify_delaunay(coords, store)) == 5
     return coords, store
 

@@ -12,15 +12,14 @@ from coupledalpha.geometry import (
     RankDeficient,
     _bisector_points,
     _certified_inverse,
-    _hull_coordinates,
     as_point_array,
     jitter,
     lift_clouds,
 )
 from coupledalpha.reference import (
     _circumsphere,
+    _hull_coordinates,
     check_coupled_general_position,
-    diameter,
     min_enclosing_ball,
 )
 from conftest import lstsq_bisector
@@ -329,9 +328,7 @@ def test_general_position_refuses_clouds_of_different_widths():
     assert check_coupled_general_position([], [[1.0, 2.0, 3.0]]) == (True, [])
 
 
-def test_diameter_and_rank():
-    assert diameter([[0.0, 0.0]]) == 0.0
-    assert diameter([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
+def test_hull_rank():
     assert _hull_coordinates(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))[1] == 1
 
 
@@ -357,7 +354,6 @@ def test_pairwise_scans_take_linear_memory():
     pts = np.random.default_rng(31).random((2000, 4))
     tracemalloc.start()
     try:
-        diameter(pts)
         _prepare(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -68,7 +68,7 @@ def test_reference_imports_no_fast_path():
         if isinstance(value, type) and issubclass(value, Exception)
     }
     allowed_from = {
-        "geometry": {"as_point_array", "_hull_coordinates", "lift_clouds"} | errors,
+        "geometry": {"as_point_array", "lift_clouds"} | errors,
         "delaunay": {"Triangulation", "AmbiguousTriangulation"},
     }
     imports = package_imports("reference")
@@ -84,7 +84,7 @@ def test_reference_imports_no_fast_path():
 def test_reference_code_left_the_fast_paths():
     moved = {
         geometry: ["Sphere", "Violation", "_circumsphere", "min_enclosing_ball",
-                   "_sphere_violations", "check_coupled_general_position", "diameter"],
+                   "_sphere_violations", "check_coupled_general_position", "_hull_coordinates"],
         delaunay: ["delaunay_bruteforce"],
     }
     for module, names in moved.items():
