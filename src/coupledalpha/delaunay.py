@@ -210,6 +210,9 @@ class _CellStore:
             offsets = np.einsum("ij,ij->i", normals, pts[hull, 0])
         centers = pts[:, 0] + x
         radii2 = np.linalg.norm(centers - pts[:, 0], axis=1) ** 2
+        if not np.isfinite(radii2).all():
+            cell = tuple(cells[~np.isfinite(radii2)][0].tolist())
+            raise DegenerateInput(f"squared circumradius of cell {cell} is not finite in float64")
 
         # Refill the most recently killed rows first, then append.
         cut = max(len(self.free) - g, 0)
@@ -255,29 +258,30 @@ def _bowyer_watson(coords: np.ndarray, seed: np.ndarray) -> _CellStore:
     store = _CellStore(coords, coords[seed].mean(axis=0))
     start = np.sort(seed)
     hull = unique(facets(start[None]))[0]
-    store.add(np.vstack([start, np.column_stack([np.full(len(hull), -1), hull])]))
-
     m = coords.shape[1]
     seeded = set(seed.tolist())
-    for p_idx in _insertion_order(len(coords)).tolist():
-        if p_idx in seeded:
-            continue
-        bad = store.conflicts(coords[p_idx])
-        if bad.size == 0:
-            raise AmbiguousTriangulation(
-                f"point {p_idx} conflicts with no cell; input degenerate within tolerance"
-            )
-        boundary = once(store.verts[bad[:, None, None], store.drop].reshape(-1, m))
-        if boundary is None:
-            raise AmbiguousTriangulation(
-                f"insertion cavity of point {p_idx} is inconsistent; "
-                "input degenerate within tolerance"
-            )
-        store.kill(bad)
-        cells = np.full((len(boundary), m + 1), p_idx)
-        cells[:, 1:] = boundary
-        cells.sort(axis=1)
-        store.add(cells)
+    # A circumradius that overflows is refused by ``add``, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        store.add(np.vstack([start, np.column_stack([np.full(len(hull), -1), hull])]))
+        for p_idx in _insertion_order(len(coords)).tolist():
+            if p_idx in seeded:
+                continue
+            bad = store.conflicts(coords[p_idx])
+            if bad.size == 0:
+                raise AmbiguousTriangulation(
+                    f"point {p_idx} conflicts with no cell; input degenerate within tolerance"
+                )
+            boundary = once(store.verts[bad[:, None, None], store.drop].reshape(-1, m))
+            if boundary is None:
+                raise AmbiguousTriangulation(
+                    f"insertion cavity of point {p_idx} is inconsistent; "
+                    "input degenerate within tolerance"
+                )
+            store.kill(bad)
+            cells = np.full((len(boundary), m + 1), p_idx)
+            cells[:, 1:] = boundary
+            cells.sort(axis=1)
+            store.add(cells)
     return store
 
 

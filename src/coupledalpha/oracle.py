@@ -1,10 +1,12 @@
 """Definition-level reference implementations used for certification.
 
-Nothing here shares code with the fast paths: membership and filtration
-values are decided straight from the definition (a common point of the
-restricted Voronoi balls) in exact rational arithmetic, and the enclosing
-balls come from ``reference``, so these routines serve
-as independent oracles in the test suite and the ``compare`` command.
+Nothing here shares code with the fast paths or with ``reference``:
+membership and filtration values are decided straight from the
+definitions (a common point of the restricted Voronoi balls, the smallest
+enclosing ball) in exact rational arithmetic, so these routines serve as
+independent oracles in the test suite and the ``compare`` command. Every
+centre is a point projected onto a bisector flat, and each value one
+float square root of an exact rational, so values scale exactly by 2^k.
 
 * ``qualifying_centres``: for every subset T of at most d+2 points (a
   pure T: at most d+1), three candidate centres on T's bisector flat
@@ -18,11 +20,13 @@ as independent oracles in the test suite and the ``compare`` command.
   the smallest max(r_X² if Q has an X vertex, r_Y² if Q has a Y vertex)
   over them: every qualifying centre is a common point of Q's restricted
   balls at that radius, and the optimum is the relaxed optimum of Q plus
-  its active constraints. Each value is one float square root of the
-  exact minimum. For a single cloud this is the empty-circumsphere view
-  of alpha values (Edelsbrunner and Mücke, 1994).
-* ``cech_filtration``: the Cech filtration of a small cloud, one minimum
-  enclosing ball per subset of at most d+2 points.
+  its active constraints. For a single cloud this is the
+  empty-circumsphere view of alpha values (Edelsbrunner and Mücke, 1994).
+* ``cech_filtration``: the Cech filtration of a small cloud. Every subset
+  T of at most d+1 points gets its smallest circumsphere (its first point
+  projected onto its bisector flat) and the points its closed ball holds;
+  a subset S of at most d+2 points takes the least radius over the T ⊆ S
+  whose ball holds S, which is S's smallest enclosing ball.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .complexes import PointCloudPair, Simplex, coupled_alpha_infty
 from .filtration import FilteredComplex, coupled_filtration
 from .geometry import as_point_array
 from .homology import diagram_discrepancy, persistence_diagram
-from .reference import min_enclosing_ball
 
 diagram_tolerance_default = 1e-6
 
@@ -81,50 +84,78 @@ def _project(p, basis):
     return c
 
 
+def _integers(points):
+    """The rows of ``points`` times ``scale``, as integer lists, their squared norms and ``scale``.
+
+    The input floats are dyadic, so one power of two, their largest
+    denominator, scales every coordinate to an integer.
+    """
+    n, d = points.shape
+    ratios = [v.as_integer_ratio() for v in points.ravel().tolist()]
+    scale = max([q for _, q in ratios], default=1)  # every denominator is a power of two
+    coords = [p * (scale // q) for p, q in ratios]
+    pts = [coords[i * d : (i + 1) * d] for i in range(n)]
+    return pts, [_dot(p, p) for p in pts], scale
+
+
+def _bisector(pts, sq, u, v):
+    """The affine equation |c - p_u|² = |c - p_v|² of centres c."""
+    return [2 * (s - t) for s, t in zip(pts[v], pts[u])], sq[v] - sq[u]
+
+
+def _powers(c, pts, sq):
+    """Every point's power about the centre c = N/D, as the integer D·(|c - p|² - |c|²).
+
+    One point has less power than another iff it is nearer to c. Also
+    returns the map from a point's power to its squared distance |c - p|².
+    """
+    den = math.lcm(*(v.denominator for v in c))
+    num = [v.numerator * (den // v.denominator) for v in c]
+    power = [den * s - 2 * _dot(num, p) for p, s in zip(pts, sq)]
+    cc = _dot(c, c)
+    return power, lambda v: Fraction(v, den) + cc
+
+
+def _sqrt(v: Fraction) -> float:
+    """``math.sqrt(v)``, without overflow or underflow: v is shifted by an even power of two first."""
+    half = (v.numerator.bit_length() - v.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(v * Fraction(2) ** (-2 * half)), half)
+
+
 def qualifying_centres(pair: PointCloudPair):
     """Yield ``(T, centre, r_x², r_y²)`` for every qualifying candidate centre.
 
     ``T`` is a sorted tuple of global vertex indices, the centre a tuple of
     ``Fraction`` coordinates and the squared radii exact rationals (0 for
-    a side T lacks). The input floats are dyadic, so they are scaled
-    by one power of two to integers and the emptiness test of each ball is
-    an integer comparison of powers D·(|c - p|² - |c|²), with c = N/D.
+    a side T lacks). The emptiness test of each ball compares the integer
+    powers of ``_powers`` on the input scaled to integers.
     """
     n, d, n_x = pair.n_total, pair.dim, pair.n_x
     if n > _EXACT_CAP:
         raise TooLarge(f"{n} points exceed the brute-force cap {_EXACT_CAP}")
-    ratios = [v.as_integer_ratio() for v in pair.points.ravel().tolist()]
-    scale = max([q for _, q in ratios], default=1)  # every denominator is a power of two
-    coords = [p * (scale // q) for p, q in ratios]
-    pts = [coords[i * d : (i + 1) * d] for i in range(n)]
-    sq = [_dot(p, p) for p in pts]
+    pts, sq, scale = _integers(pair.points)
     unit = Fraction(1, scale * scale)
     spans = (0, n_x), (n_x, n)
-
-    def bisector(u, v):  # |c - p_u|² = |c - p_v|²
-        return [2 * (s - t) for s, t in zip(pts[v], pts[u])], sq[v] - sq[u]
 
     for size in range(1, min(n, d + 2) + 1):
         for t in itertools.combinations(range(n), size):
             groups = [v for v in t if v < n_x], [v for v in t if v >= n_x]
             if size > d + 1 and not all(groups):
                 continue
-            basis = _orthogonal([bisector(g[0], v) for g in groups for v in g[1:]])
+            basis = _orthogonal([_bisector(pts, sq, g[0], v) for g in groups for v in g[1:]])
             if basis is None:
                 continue
             firsts = [g[0] for g in groups if g]
             candidates = [_project(pts[v], basis) for v in firsts]
             if len(firsts) == 2:
-                cut = _orthogonal([bisector(*firsts)], basis)
+                cut = _orthogonal([_bisector(pts, sq, *firsts)], basis)
                 if cut is not None:
                     candidates.append(_project(pts[firsts[0]], cut))
             for c in candidates:
-                den = math.lcm(*(v.denominator for v in c))
-                num = [v.numerator * (den // v.denominator) for v in c]
-                power = [den * s - 2 * _dot(num, p) for p, s in zip(pts, sq)]
+                power, dist2 = _powers(c, pts, sq)
                 # Empty open balls: no point of a side's cloud has less power than T's.
                 if all(min(power[lo:hi]) == power[g[0]] for g, (lo, hi) in zip(groups, spans) if g):
-                    r2 = [(Fraction(power[g[0]], den) + _dot(c, c)) * unit if g else 0 for g in groups]
+                    r2 = [dist2(power[g[0]]) * unit if g else 0 for g in groups]
                     yield t, tuple(Fraction(v, scale) for v in c), *r2
 
 
@@ -144,34 +175,38 @@ def exact_filtration(pair: PointCloudPair) -> FilteredComplex:
                 bound = max(r2_x if q[0] < n_x else 0, r2_y if q[-1] >= n_x else 0)
                 if q not in best or bound < best[q]:
                     best[q] = bound
-    return FilteredComplex({q: math.sqrt(v) for q, v in best.items()})
+    return FilteredComplex({q: _sqrt(v) for q, v in best.items()})
 
 
 def cech_filtration(points) -> FilteredComplex:
-    """Cech filtration of a cloud: every subset valued by its enclosing ball.
+    """Cech filtration of a cloud: every subset valued by its smallest enclosing ball.
 
-    Exponential in the input size, hence the hard cap. Simplices go up to
-    dimension d+1 (d+2 vertices), enough for exact homology through the
-    ambient dimension d.
+    The smallest enclosing ball of a set S is the smallest circumsphere of
+    some T ⊆ S of at most d+1 points whose closed ball holds S, so each S
+    takes the least squared radius over such T, in exact arithmetic; its
+    ``_sqrt`` is monotone since the exact radius is. Exponential in the
+    input size, hence the hard cap. Simplices go up to dimension d+1 (d+2
+    vertices), enough for exact homology through the ambient dimension d.
     """
     pts = as_point_array(points)
     n, d = pts.shape
-    if n == 0:
-        return FilteredComplex({})
     if n > _CECH_CAP:
         raise TooLarge(f"{n} points exceed the brute-force cap {_CECH_CAP}")
-    values: dict[Simplex, float] = {}
-    for size in range(1, min(d + 2, n) + 1):
-        for combo in itertools.combinations(range(n), size):
-            if size == 1:
-                values[combo] = 0.0
+    pts, sq, scale = _integers(pts)
+    best: dict[Simplex, Fraction] = {}
+    for size in range(1, min(d + 1, n) + 1):
+        for t in itertools.combinations(range(n), size):
+            basis = _orthogonal([_bisector(pts, sq, t[0], v) for v in t[1:]])
+            if basis is None:
                 continue
-            radius = min_enclosing_ball(pts[list(combo)]).radius
-            # Exact monotonicity under float arithmetic.
-            for drop in range(size):
-                radius = max(radius, values[combo[:drop] + combo[drop + 1 :]])
-            values[combo] = radius
-    return FilteredComplex(values)
+            power, dist2 = _powers(_project(pts[t[0]], basis), pts, sq)
+            r2 = dist2(power[t[0]])
+            held = [v for v, p in enumerate(power) if p <= power[t[0]] and v not in t]
+            for extra in (e for k in range(d + 3 - size) for e in itertools.combinations(held, k)):
+                s = tuple(sorted(t + extra))
+                if s not in best or r2 < best[s]:
+                    best[s] = r2
+    return FilteredComplex({s: _sqrt(v / scale**2) for s, v in best.items()})
 
 
 def diagram_discrepancy_vs_reference(

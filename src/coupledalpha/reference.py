@@ -1,6 +1,6 @@
 """Definition-level references the fast paths are certified against.
 
-Circumspheres, smallest enclosing balls, affine-hull coordinates by SVD,
+Circumspheres, affine-hull coordinates by SVD,
 the coupled general-position audit and the brute-force Delaunay
 triangulation. Each decides straight from a definition, one lstsq system
 or SVD at a time, and this module has its own tolerance ``TOL`` and rank
@@ -12,7 +12,8 @@ From the rest of the package it imports only ``as_point_array`` and
 ``lift_clouds`` from ``geometry``, the error classes, and
 ``Triangulation`` and ``AmbiguousTriangulation`` from ``delaunay``; never
 a tolerance, ``delaunay._prepare`` or a solver.
-No fast path imports from here; ``oracle`` builds on it.
+No fast path imports from here, and neither does ``oracle``, which
+computes in exact rationals of its own.
 """
 
 from __future__ import annotations
@@ -66,57 +67,6 @@ def _circumsphere(points: np.ndarray) -> Sphere | None:
         return None
     center = pts[0] + sol
     return Sphere(center, float(np.linalg.norm(center - pts[0])))
-
-
-def min_enclosing_ball(points) -> Sphere:
-    """Smallest ball containing all points (Welzl's algorithm).
-
-    Deterministic: the internal randomized order is drawn from a fixed
-    seed, so repeated calls return bit-identical results.
-    """
-    pts = as_point_array(points)
-    n, d = pts.shape
-    if n == 0:
-        raise ValueError("need at least one point")
-    order = list(np.random.default_rng(9221).permutation(n))
-
-    def ball_on_boundary(boundary: list[int]) -> Sphere | None:
-        if not boundary:
-            return None
-        if len(boundary) == 1:
-            return Sphere(pts[boundary[0]].copy(), 0.0)
-        sphere = _circumsphere(pts[boundary])
-        if sphere is not None:
-            return sphere
-        # Degenerate support set (affinely dependent boundary): fall back to
-        # the smallest ball through a proper subset that still covers it.
-        best = None
-        for k in range(1, len(boundary)):
-            for sub in itertools.combinations(boundary, k):
-                cand = ball_on_boundary(list(sub))
-                if cand is not None and all(contains(cand, i) for i in boundary):
-                    if best is None or cand.radius < best.radius:
-                        best = cand
-        return best
-
-    def contains(sphere: Sphere, idx: int) -> bool:
-        slack = 1e-10 * (1.0 + sphere.radius)
-        return float(np.linalg.norm(pts[idx] - sphere.center)) <= sphere.radius + slack
-
-    def welzl(head: int, boundary: list[int]) -> Sphere | None:
-        # head = number of points of `order` still under consideration.
-        if head == 0 or len(boundary) == d + 1:
-            return ball_on_boundary(boundary)
-        p = order[head - 1]
-        ball = welzl(head - 1, boundary)
-        if ball is not None and contains(ball, p):
-            return ball
-        return welzl(head - 1, boundary + [p])
-
-    ball = welzl(n, [])
-    if ball is None:  # pragma: no cover - n >= 1 always yields a ball
-        raise DegenerateInput("failed to compute enclosing ball")
-    return ball
 
 
 def _sq_distances(pts: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ Everything here is deliberately built from definitions, not from the
 library's fast paths, so the tests compare two independent routes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from coupledalpha import PointCloudPair, coupled_alpha_infty, coupled_filtration, relaxed_value
 from coupledalpha.geometry import RANK_RCOND, RankDeficient
 from coupledalpha.homology import Interval, PersistenceDiagram
+from coupledalpha.reference import _circumsphere
 
 
 def random_pair(rng, dim=2, max_x=6, max_y=6):
@@ -35,6 +37,20 @@ def lstsq_bisector(u, v, p):
     if rank < min(a.shape):
         raise RankDeficient(f"bisector rows are dependent (rank {rank} < {min(a.shape)})")
     return p + sol
+
+
+def enclosing_radius(pts):
+    """Smallest enclosing ball radius in floats: the least lstsq circumsphere of a subset that holds all.
+
+    The optimal ball is determined by at most d+1 points on its boundary.
+    """
+    best = 0.0 if len(pts) == 1 else math.inf
+    for size in range(2, min(len(pts), pts.shape[1] + 1) + 1):
+        for combo in itertools.combinations(range(len(pts)), size):
+            ball = _circumsphere(pts[list(combo)])
+            if ball is not None and np.linalg.norm(pts - ball.center, axis=1).max() <= ball.radius * (1 + 1e-9):
+                best = min(best, ball.radius)
+    return best
 
 
 def golden_min(fun, lo, hi, tol=1e-9):

@@ -189,6 +189,15 @@ def test_coordinates_too_large_to_square_are_refused():
     assert coupled_alpha_infty(PointCloudPair(pts * 1e150)).dimension == 2
 
 
+@pytest.mark.parametrize("scale", [10**153.5, 1e154])
+def test_circumradii_too_large_for_float64_are_refused(scale):
+    # The coordinates square, but a cell's squared circumradius overflows; no RuntimeWarning escapes.
+    pts = np.random.default_rng(0).random((10, 2))
+    message = r"^squared circumradius of cell \(1, 4, 9\) is not finite in float64$"
+    with pytest.raises(DegenerateInput, match=message):
+        coupled_alpha_infty(PointCloudPair(pts * scale))
+
+
 def _qhull_cases():
     for dim, n in [(2, 300), (3, 100), (2, 1000), (3, 200)]:
         yield pytest.param(dim, n, 1012 if n == 1000 else 1000 + dim, 1.0, 0.0, id=f"{dim}-{n}")

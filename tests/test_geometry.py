@@ -16,13 +16,13 @@ from coupledalpha.geometry import (
     jitter,
     lift_clouds,
 )
+from coupledalpha.oracle import cech_filtration
 from coupledalpha.reference import (
     _circumsphere,
     _hull_coordinates,
     check_coupled_general_position,
-    min_enclosing_ball,
 )
-from conftest import lstsq_bisector
+from conftest import enclosing_radius, lstsq_bisector
 
 
 def test_as_point_array_shapes_and_errors():
@@ -62,44 +62,18 @@ def test_equidistant_center_rejects_collinear():
         _bisector_points(pts[None, :1], pts[None, 1:], pts[None, 0])
 
 
-def test_min_enclosing_ball_known_configurations():
-    two = min_enclosing_ball([[0.0, 0.0], [2.0, 0.0]])
-    assert two.radius == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(two.center, [1.0, 0.0])
-    # Obtuse triangle: ball spanned by the long edge only.
-    obtuse = min_enclosing_ball([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
-    assert obtuse.radius == pytest.approx(2.0, abs=1e-12)
-
-
 def test_min_enclosing_ball_vs_subset_enumeration(rng):
-    # The optimal ball is determined by at most d+1 points on its boundary.
+    # Every Cech value is the smallest enclosing ball of its simplex, found
+    # again by enumerating circumspheres of subsets of at most d+1 points;
+    # no ball that holds two points is narrower than half their distance.
     for _ in range(25):
         d = int(rng.integers(2, 4))
         pts = rng.random((int(rng.integers(2, 8)), d))
-        ball = min_enclosing_ball(pts)
-        dist = np.linalg.norm(pts - ball.center, axis=1)
-        assert float(dist.max()) <= ball.radius + 1e-9
-        best = np.inf
-        import itertools
-
-        for size in range(2, d + 2):
-            for combo in itertools.combinations(range(len(pts)), size):
-                cand = _circumsphere(pts[list(combo)])
-                if cand is None:
-                    continue
-                if np.linalg.norm(pts - cand.center, axis=1).max() <= cand.radius + 1e-9:
-                    best = min(best, cand.radius)
-        if len(pts) == 1:
-            best = 0.0
-        assert ball.radius == pytest.approx(min(best, ball.radius), abs=1e-9)
-        assert best <= ball.radius + 1e-9
-
-
-def test_min_enclosing_ball_deterministic():
-    pts = np.random.default_rng(1).random((30, 3))
-    a = min_enclosing_ball(pts)
-    b = min_enclosing_ball(pts)
-    assert np.array_equal(a.center, b.center) and a.radius == b.radius
+        for simplex, value in cech_filtration(pts).values.items():
+            sub = pts[list(simplex)]
+            assert value == pytest.approx(enclosing_radius(sub), rel=1e-12, abs=0.0)
+            half_diameter = np.linalg.norm(sub[:, None] - sub[None], axis=2).max() / 2
+            assert value >= half_diameter * (1 - 1e-12)
 
 
 def test_null_space_and_particular_solution(rng):

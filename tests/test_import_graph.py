@@ -83,8 +83,8 @@ def test_reference_imports_no_fast_path():
 
 def test_reference_code_left_the_fast_paths():
     moved = {
-        geometry: ["Sphere", "Violation", "_circumsphere", "min_enclosing_ball",
-                   "_sphere_violations", "check_coupled_general_position", "_hull_coordinates"],
+        geometry: ["Sphere", "Violation", "_circumsphere", "_sphere_violations",
+                   "check_coupled_general_position", "_hull_coordinates"],
         delaunay: ["delaunay_bruteforce"],
     }
     for module, names in moved.items():
@@ -94,23 +94,33 @@ def test_reference_code_left_the_fast_paths():
 
 
 def test_exact_oracle_reads_no_fast_path():
-    # Agreement with the fast path is evidence while the exact oracle computes on its own.
+    # Agreement with the fast path and the references is evidence while the oracles compute on their own.
     banned = FAST_PATH_NAMES | {"_relaxed_batch"}
     imports = package_imports("oracle")
     assert not banned & {name for _, name in imports}
     assert not {source for source, name in imports if name == "*"} & {"geometry", "delaunay", "filtration"}
-    # Every name read by exact_filtration and the module functions it reaches.
+    assert "reference" not in {source for source, _ in imports}
+    # What reference defines: its tolerances and its own functions and classes.
+    banned |= {"TOL", "RCOND"} | {
+        name for name, value in vars(reference).items() if getattr(value, "__module__", None) == reference.__name__
+    }
+    assert {"_circumsphere", "Sphere"} <= banned
     functions = {
         node.name: node
         for node in ast.parse((PACKAGE / "oracle.py").read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
-    read, todo = set(), ["exact_filtration"]
-    while todo:
-        for node in ast.walk(functions[todo.pop()]):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name and name not in read:
-                read.add(name)
-                todo += [name] if name in functions else []
-    assert {"qualifying_centres", "_orthogonal", "_project"} <= read
-    assert not banned & read
+    # Every name read by each oracle and the module functions it reaches.
+    for oracle, reached in [
+        ("exact_filtration", {"qualifying_centres", "_orthogonal", "_project", "_powers", "_sqrt"}),
+        ("cech_filtration", {"_integers", "_orthogonal", "_project", "_powers", "_sqrt"}),
+    ]:
+        read, todo = set(), [oracle]
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name and name not in read:
+                    read.add(name)
+                    todo += [name] if name in functions else []
+        assert reached <= read, oracle
+        assert not banned & read, oracle

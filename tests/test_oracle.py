@@ -14,8 +14,7 @@ from coupledalpha import (
     diagram_discrepancy_vs_reference,
 )
 from coupledalpha.oracle import TooLarge, cech_filtration, exact_filtration, qualifying_centres
-from coupledalpha.reference import min_enclosing_ball
-from conftest import at_radius, check_monotone, random_pair
+from conftest import at_radius, check_monotone, enclosing_radius, random_pair
 
 
 def faces(t):
@@ -120,13 +119,7 @@ def test_cech_values_are_enclosing_radii(rng):
     pts = rng.random((7, 2))
     fc = cech_filtration(pts)
     for simplex, value in fc.values.items():
-        if len(simplex) == 1:
-            assert value == 0.0
-            continue
-        direct = min_enclosing_ball(pts[list(simplex)]).radius
-        # Values are maxed with faces, so direct radius can only be lower.
-        assert value >= direct - 1e-12
-        assert value == pytest.approx(direct, abs=1e-9)
+        assert value == pytest.approx(enclosing_radius(pts[list(simplex)]), rel=1e-12, abs=0.0)
     assert check_monotone(fc, tol=0.0)
 
 
@@ -140,7 +133,28 @@ def test_cech_dimension_bound_and_cap():
 
 def test_two_point_cech():
     fc = cech_filtration([[0.0, 0.0], [6.0, 0.0]])
-    assert fc.values[(0, 1)] == pytest.approx(3.0, abs=1e-12)
+    assert fc.values[(0, 1)] == 3.0
+
+
+def test_cech_closed_forms_of_triangles():
+    # A right triangle's ball is its circumsphere, centred on the hypotenuse.
+    assert cech_filtration([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]).values[(0, 1, 2)] == 2.5
+    # An obtuse triangle's ball is spanned by the long edge only.
+    assert cech_filtration([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]]).values[(0, 1, 2)] == 2.0
+
+
+@pytest.mark.parametrize("k", [-990, 990])
+def test_oracles_scale_exactly_by_powers_of_two(k):
+    # Exact rationals and one shifted square root: neither underflow nor overflow.
+    pts = np.random.default_rng(3).random((8, 2))
+    big = np.ldexp(pts, k)
+    for oracle, small, scaled in [
+        (exact_filtration, PointCloudPair(pts[:4], pts[4:]), PointCloudPair(big[:4], big[4:])),
+        (cech_filtration, pts, big),
+    ]:
+        values = oracle(small).values
+        assert oracle(scaled).values == {s: math.ldexp(v, k) for s, v in values.items()}
+        assert min(v for s, v in values.items() if len(s) > 1) > 0
 
 
 def test_diagram_reference_agrees_on_small_instances(rng):
