@@ -185,7 +185,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_check(args) -> int:
     pair = _load_pair(args)
-    ok, violations = check_coupled_general_position(pair.x, pair.y)
+    ok, violations = check_coupled_general_position(pair)
     _emit(
         args,
         lambda: {

@@ -49,7 +49,7 @@ class PointCloudPair:
     def __init__(self, x, y=None, *, check: bool = False):
         # ``check`` is kept only for the benchmark's pinned ``check=False`` call.
         if check:
-            raise TypeError("PointCloudPair does not audit; use check_coupled_general_position(x, y)")
+            raise TypeError("PointCloudPair does not audit; use check_coupled_general_position(pair)")
         x = as_point_array(x)
         y = as_point_array(np.zeros((0, x.shape[1])) if y is None else y)
         # A (0, 0) cloud, as from [], has no width; any other cloud has one.
@@ -74,14 +74,6 @@ class PointCloudPair:
     @property
     def n_total(self) -> int:
         return self.n_x + self.n_y
-
-    def split(self, simplex: Simplex) -> tuple[Simplex, Simplex]:
-        """Partition a global-index simplex into its X part and Y part."""
-        qx = tuple(i for i in simplex if i < self.n_x)
-        qy = tuple(i for i in simplex if i >= self.n_x)
-        if qx + qy != tuple(simplex):
-            raise ValueError(f"simplex {simplex} is not sorted")
-        return qx, qy
 
 
 class CoupledComplex:

@@ -97,19 +97,15 @@ class FilteredComplex:
         dims = range(len(self.levels) - 1, -1, -1)
         return {s: v for k in dims for s, v in zip(self.cplx.by_dim(k), self.levels[k].tolist())}
 
-    def order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dimension, index into ``cplx.rows[k]``) of each simplex in filtration order:
-        one lexsort by (value, dimension, lexicographic rank), faces first at ties."""
+    def sorted_items(self) -> list[tuple[Simplex, float]]:
+        """(simplex, value) in filtration order: one lexsort by (value, dimension,
+        lexicographic rank), faces first at ties."""
         sizes = self.cplx.counts()
         dim = np.repeat(np.arange(len(sizes)), sizes)
         index = np.concatenate([np.zeros(0, dtype=np.intp), *map(np.arange, sizes)])
         order = np.lexsort((index, dim, np.concatenate([np.zeros(0), *self.levels])))
-        return dim[order], index[order]
-
-    def sorted_items(self) -> list[tuple[Simplex, float]]:
-        dim, index = self.order()
         items = [list(zip(self.cplx.by_dim(k), v.tolist())) for k, v in enumerate(self.levels)]
-        return [items[k][i] for k, i in zip(dim.tolist(), index.tolist())]
+        return [items[k][i] for k, i in zip(dim[order].tolist(), index[order].tolist())]
 
 
 def relaxed_value(q_x, q_y) -> SphereSolution:

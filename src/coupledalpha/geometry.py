@@ -16,8 +16,9 @@ centers reach it through ``_bisector_points``; the triangulation hands it
 square systems only, so no QR runs per insertion. The references the fast
 paths are checked against live in ``reference``, with their own tolerance.
 Inputs closer than the tolerance to a degenerate configuration are
-rejected with an error rather than silently perturbed -- ``jitter`` is
-the explicit way out for callers that want perturbation.
+rejected with an error rather than silently perturbed -- ``jitter``, with
+a magnitude and a seed the caller chooses, is the explicit way out for
+callers that want perturbation.
 """
 
 from __future__ import annotations
@@ -46,15 +47,13 @@ class RankDeficient(GeometryError):
         self.system = system
 
 
-def as_point_array(points, dim: int | None = None) -> np.ndarray:
-    """Validate and convert to a float64 array of shape (n, d)."""
+def as_point_array(points) -> np.ndarray:
+    """Validate and convert to a float64 array of shape (n, d); ``[]`` gives shape (0, 0)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1 and pts.size == 0:
-        pts = pts.reshape(0, dim if dim is not None else 0)
+        pts = pts.reshape(0, 0)
     if pts.ndim != 2:
         raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
-    if dim is not None and pts.shape[1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got {pts.shape[1]}")
     if pts.size and not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts
@@ -126,22 +125,15 @@ def lift_clouds(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lifted
 
 
-def jitter(points, magnitude: float | None = None, seed: int | None = None) -> np.ndarray:
-    """Return a copy of the points with uniform noise added per coordinate.
+def jitter(points, magnitude: float, seed) -> np.ndarray:
+    """Return a copy of the points with uniform noise in [-magnitude, magnitude] per coordinate.
 
-    Default magnitude is 1e-6 times the bounding-box diagonal, a cheap
-    stand-in for the diameter. Meant for callers that hit degeneracy
-    errors and explicitly want general position restored.
+    ``seed`` is anything ``numpy.random.default_rng`` accepts, so a run
+    is reproducible. Meant for callers that hit degeneracy errors and
+    explicitly want general position restored.
     """
-    if magnitude is not None and not 0.0 <= magnitude < np.inf:
+    if not 0.0 <= magnitude < np.inf:
         raise ValueError(f"jitter magnitude must be finite and non-negative, got {magnitude}")
-    pts = as_point_array(points).copy()
-    if pts.shape[0] == 0:
-        return pts
-    if magnitude is None:
-        box = pts.max(axis=0) - pts.min(axis=0)
-        magnitude = 1e-6 * float(np.linalg.norm(box))
-        if magnitude == 0.0:
-            magnitude = 1e-6
+    pts = as_point_array(points)
     rng = np.random.default_rng(seed)
     return pts + rng.uniform(-magnitude, magnitude, size=pts.shape)

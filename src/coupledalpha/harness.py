@@ -62,9 +62,7 @@ def run_trial(n: int, trial: int, dim: int, seed: int) -> ScalingRecord:
     return ScalingRecord(n, trial, seed, counts, elapsed)
 
 
-def scaling_experiment(
-    n_list, trials: int = 10, dim: int = 2, seed: int = 0
-) -> list[ScalingRecord]:
+def scaling_experiment(n_list, trials: int, dim: int, seed: int) -> list[ScalingRecord]:
     """Scaling records for every (n, trial), ordered by (n, trial); n strictly ascending."""
     n_list = list(n_list)
     for n in n_list:

@@ -135,26 +135,19 @@ def persistence_diagram(fc: FilteredComplex) -> PersistenceDiagram:
 
 
 def diagram_discrepancy(
-    a: PersistenceDiagram,
-    b: PersistenceDiagram,
-    dims: list[int] | None = None,
-    min_length: float = 0.0,
+    a: PersistenceDiagram, b: PersistenceDiagram, dims, min_length: float = 0.0
 ) -> float:
     """Largest endpoint difference between matched positive intervals.
 
-    Intervals are matched per dimension in sorted order; a cardinality
-    mismatch yields ``inf``. This is a stricter statistic than bottleneck
-    distance and equals it when both diagrams are close. ``min_length``
-    drops intervals at most that long from both sides first: classes of
-    zero persistence computed through different arithmetic come out as
-    sub-noise slivers rather than exact zeros, and a comparison at
-    tolerance t cannot distinguish intervals shorter than t from empty
-    ones anyway.
+    Intervals are matched in each dimension of ``dims``, in sorted order;
+    a cardinality mismatch yields ``inf``. This is a stricter statistic
+    than bottleneck distance and equals it when both diagrams are close.
+    ``min_length`` drops intervals at most that long from both sides
+    first: classes of zero persistence computed through different
+    arithmetic come out as sub-noise slivers rather than exact zeros, and
+    a comparison at tolerance t cannot distinguish intervals shorter than
+    t from empty ones anyway.
     """
-    if dims is None:
-        dims = sorted(
-            {iv.dim for iv in a.intervals()} | {iv.dim for iv in b.intervals()}
-        )
     worst = 0.0
     for dim in dims:
         ia = [iv for iv in a.intervals(dim) if iv.length > min_length]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .complexes import PointCloudPair, Simplex, coupled_alpha_infty
 from .filtration import FilteredComplex, coupled_filtration
@@ -52,7 +53,7 @@ _EXACT_CAP = 24
 
 
 def _dot(a, b):
-    return sum(s * t for s, t in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _orthogonal(rows, basis=()):

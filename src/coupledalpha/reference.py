@@ -11,7 +11,9 @@ so agreement between the two routes stays evidence.
 From the rest of the package it imports only ``as_point_array`` and
 ``lift_clouds`` from ``geometry``, the error classes, and
 ``Triangulation`` and ``AmbiguousTriangulation`` from ``delaunay``; never
-a tolerance, ``delaunay._prepare`` or a solver.
+a tolerance, ``delaunay._prepare`` or a solver. The audit takes a
+``PointCloudPair`` without importing ``complexes``: it reads only the
+pair's clouds and dimension.
 No fast path imports from here, and neither does ``oracle``, which
 computes in exact rationals of its own.
 """
@@ -46,9 +48,6 @@ class Violation:
 
     kind: str
     indices: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.indices}"
 
 
 def _circumsphere(points: np.ndarray) -> Sphere | None:
@@ -104,8 +103,11 @@ def _sphere_violations(
             out.append(Violation(kind, tuple(offset + i for i in subset) + (offset + int(idx),)))
 
 
-def check_coupled_general_position(x, y) -> tuple[bool, list[Violation]]:
+def check_coupled_general_position(pair) -> tuple[bool, list[Violation]]:
     """Check coupled general position for a pair of clouds in R^d.
+
+    ``pair`` is a ``PointCloudPair``, which shaped the two clouds; only
+    its ``x``, ``y`` and ``dim`` are read.
 
     Each cloud on its own must be in general position: no d+1 points on a
     common (d-1)-flat, and no further point of the same cloud on the
@@ -119,12 +121,7 @@ def check_coupled_general_position(x, y) -> tuple[bool, list[Violation]]:
     Exhaustive over subsets, so intended for small inputs. At scale the
     triangulation itself reports ambiguities for the subsets that matter.
     """
-    x, y = as_point_array(x), as_point_array(y)
-    # A (0, 0) cloud, as from [], has no width; any other cloud has one.
-    if x.shape[1] != y.shape[1] and (0, 0) not in (x.shape, y.shape):
-        raise ValueError("clouds must share the ambient dimension")
-    d = max(x.shape[1], y.shape[1])
-    x, y = x.reshape(len(x), d), y.reshape(len(y), d)
+    x, y, d = pair.x, pair.y, pair.dim
     violations: list[Violation] = []
 
     for offset, cloud in ((0, x), (x.shape[0], y)):

@@ -180,8 +180,9 @@ def side(pair, index):
 
 def split_coords(pair, simplex):
     """Coordinates of a simplex's X vertices and of its Y vertices."""
-    qx, qy = pair.split(simplex)
-    return pair.points[list(qx)], pair.points[list(qy)]
+    qx = [i for i in simplex if i < pair.n_x]
+    qy = [i for i in simplex if i >= pair.n_x]
+    return pair.points[qx], pair.points[qy]
 
 
 def max_value(fc):

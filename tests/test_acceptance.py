@@ -50,7 +50,7 @@ def test_acceptance_1_complex_equals_nerve(report):
     ok = True
     for _ in range(50):
         pair = random_pair(rng, max_x=10, max_y=10)
-        general, violations = check_coupled_general_position(pair.x, pair.y)
+        general, violations = check_coupled_general_position(pair)
         assert general, violations
         fast = set(coupled_alpha_infty(pair))
         if fast != set(exact_filtration(pair).values):

@@ -117,6 +117,17 @@ def test_filtrate_rejects_bad_listing(capsys, tmp_path, clouds, rows):
 
 
 
+@pytest.mark.parametrize("row,dim,count", [("1,0", 1, 1), ("0,0,1", 0, 2), ("-1", -1, 0)])
+def test_filtrate_reports_a_listing_row_of_the_wrong_length(capsys, tmp_path, clouds, row, dim, count):
+    x, y = clouds
+    listing = tmp_path / "bad.csv"
+    listing.write_text(f"0,0\n{row}\n")
+    code, out, err = run(capsys, ["filtrate", x, y, "--complex", str(listing)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {listing}:2: dim {dim} with {count} vertices\n"
+
+
 @pytest.mark.parametrize("row", ["1,x,2", ","])
 def test_filtrate_reports_non_integer_listing_row(capsys, tmp_path, clouds, row):
     x, y = clouds
@@ -261,6 +272,12 @@ def test_check_reports_violations(capsys, tmp_path, clouds):
     assert payload["ok"] is False
     assert payload["violations"][0]["kind"] == "duplicate"
 
+    line = tmp_path / "line.csv"
+    line.write_text("0.0,0.0\n1.0,0.0\n2.0,0.0\n")
+    code, out, _ = run(capsys, ["check", str(line)])
+    assert code == 1
+    assert out == "flat,0,1,2\n"
+
 
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -376,6 +393,13 @@ def test_nan_option_is_a_usage_error(capsys, clouds, argv):
     assert "NaN is not allowed" in capsys.readouterr().err
     assert main([argv[0], *clouds, argv[1], "inf"]) == 0
     capsys.readouterr()
+
+
+def test_non_numeric_option_is_a_usage_error(capsys, clouds):
+    with pytest.raises(SystemExit) as exc:
+        main(["filtrate", *clouds, "--max-radius", "abc"])
+    assert exc.value.code == 2
+    assert "argument --max-radius: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_negative_tolerance_is_a_usage_error(capsys, clouds):

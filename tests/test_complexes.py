@@ -27,8 +27,6 @@ def test_pair_indexing_and_splits():
     pair = PointCloudPair([[0.0, 0.0], [1.0, 0.0]], [[0.5, 1.0]])
     assert (pair.n_x, pair.n_y, pair.n_total) == (2, 1, 3)
     assert side(pair, 0) == "x" and side(pair, 2) == "y"
-    qx, qy = pair.split((0, 2))
-    assert qx == (0,) and qy == (2,)
     cx, cy = split_coords(pair, (0, 2))
     assert np.array_equal(cx, [[0.0, 0.0]]) and np.array_equal(cy, [[0.5, 1.0]])
     assert pair.dim == 2
@@ -58,6 +56,11 @@ def test_an_empty_cloud_keeps_its_width():
     # A (0, 0) cloud, as from [], has no width and sits beside any.
     assert PointCloudPair([], [[1.0, 2.0, 3.0]]).dim == 3
     assert PointCloudPair([[1.0, 2.0]], []).y.shape == (0, 2)
+
+
+def test_points_without_coordinates_are_refused():
+    with pytest.raises(ValueError, match="^points must have at least one coordinate$"):
+        PointCloudPair(np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize(

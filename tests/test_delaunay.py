@@ -94,6 +94,9 @@ def test_duplicate_points_refused():
     # Points without coordinates are all equal.
     with pytest.raises(DegenerateInput, match="^points 0 and 1 coincide$"):
         delaunay_incremental(np.zeros((2, 0)))
+    # The reference refuses points within its own TOL of each other.
+    with pytest.raises(DegenerateInput, match="^points 0 and 1 coincide within tolerance$"):
+        delaunay_bruteforce([[0.0, 0.0], [1e-10, 0.0], [1.0, 1.0]])
 
 
 def test_lower_dimensional_input_uses_hull_coordinates():
@@ -122,6 +125,7 @@ def test_close_points_far_from_the_origin_span_an_edge():
 def test_single_point_and_empty():
     assert delaunay_incremental([[0.5, 0.5]]).cells == ()
     assert delaunay_incremental(np.zeros((0, 2))).cells == ()
+    assert delaunay_bruteforce([[0.5, 0.5]]).cells == ()
 
 
 def test_lifted_clouds_keep_one_exact_height_each():
@@ -393,6 +397,22 @@ def test_verifier_refuses_a_facet_shared_once():
     store.kill([_first_live(store, hull=False)])
     with pytest.raises(AmbiguousTriangulation, match="exactly two"):
         _verify_delaunay(coords, store)
+
+
+def test_verifier_refuses_a_store_without_finite_cells():
+    coords, store = _triangulated_store()
+    store.kill([row for row in store.live() if store.verts[row, 0] != -1])
+    with pytest.raises(AmbiguousTriangulation, match="^triangulation came out empty$"):
+        _verify_delaunay(coords, store)
+
+
+def test_hull_cell_through_the_interior_point_cannot_be_oriented():
+    # The interior point lies 1e-9 off the facet (0, 1), within side_tol = 2e-9;
+    # the system is conditioned well enough (about 1e9) to be certified.
+    store = _CellStore(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 1e-9]))
+    message = r"^cannot orient hull cell \(-1, 0, 1\); input degenerate within tolerance$"
+    with pytest.raises(AmbiguousTriangulation, match=message):
+        store.add(np.array([[-1, 0, 1]]))
 
 
 def test_verifier_refuses_a_flipped_hull_plane():

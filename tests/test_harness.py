@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coupledalpha import check_coupled_general_position, scaling_experiment
+from coupledalpha import PointCloudPair, check_coupled_general_position, scaling_experiment
 from coupledalpha.harness import (
     ScalingRecord,
     doubling_ratios,
@@ -51,7 +51,7 @@ def test_run_trial_deterministic():
 def test_sampled_draws_pass_general_position():
     x = sample_poisson(20, 2, [13, 20, 0, 0])
     y = sample_poisson(20, 2, [13, 20, 0, 1])
-    ok, violations = check_coupled_general_position(x, y)
+    ok, violations = check_coupled_general_position(PointCloudPair(x, y))
     assert ok, violations
 
 
@@ -69,15 +69,15 @@ def test_scaling_experiment_order():
 
 def test_scaling_experiment_rejects_unsorted():
     with pytest.raises(ValueError):
-        scaling_experiment([30, 15], trials=1)
+        scaling_experiment([30, 15], trials=1, dim=2, seed=0)
 
 
 def test_scaling_experiment_refuses_a_fractional_intensity():
     # Truncated, 2.5 would run as n = 2, and 2.5, 2.9 would read as a repeat.
     for n_list in ([2.5, 4], [2.5, 2.9]):
         with pytest.raises(ValueError, match=r"^intensities must be integers, got 2\.5$"):
-            scaling_experiment(n_list, trials=1)
-    assert [r.n for r in scaling_experiment([3.0, np.int64(4)], trials=1)] == [3, 4]
+            scaling_experiment(n_list, trials=1, dim=2, seed=0)
+    assert [r.n for r in scaling_experiment([3.0, np.int64(4)], trials=1, dim=2, seed=0)] == [3, 4]
 
 
 def _fake_records():

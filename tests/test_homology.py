@@ -159,10 +159,8 @@ def test_diagrams_match_the_plain_reduction():
 
 def test_filtration_order_breaks_ties_by_dimension_then_vertices():
     for fc in _tied_filtrations():
-        dim, index = fc.order()
-        got = [tuple(fc.cplx.rows[k][i].tolist()) for k, i in zip(dim.tolist(), index.tolist())]
+        got = [s for s, _ in fc.sorted_items()]
         assert got == reference_order(fc)
-        assert [s for s, _ in fc.sorted_items()] == got
         order, _ = boundary_matrix(fc)
         assert sum(_ordered(fc, order), []) == sorted(got, key=len)
 
@@ -370,4 +368,4 @@ def test_swapping_the_clouds_relabels_the_complex(dim, n_x, n_y, seed):
     assert swapped.counts() == cplx.counts() and relabelled == set(cplx)
     a = persistence_diagram(coupled_filtration(cplx))
     b = persistence_diagram(coupled_filtration(swapped))
-    assert diagram_discrepancy(a, b) <= 1e-12
+    assert diagram_discrepancy(a, b, range(dim)) <= 1e-12

@@ -141,6 +141,9 @@ def test_cech_closed_forms_of_triangles():
     assert cech_filtration([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]).values[(0, 1, 2)] == 2.5
     # An obtuse triangle's ball is spanned by the long edge only.
     assert cech_filtration([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]]).values[(0, 1, 2)] == 2.0
+    # A collinear triple has no circumsphere (its bisectors x = 1 and x = 2
+    # never meet), so its ball is spanned by the outer pair too.
+    assert cech_filtration([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]).values[(0, 1, 2)] == 2.0
 
 
 @pytest.mark.parametrize("k", [-990, 990])
